@@ -450,7 +450,7 @@ fn measure_f3(samples: usize) -> F3Report {
 /// windows enough width that barrier synchronization stays a small
 /// fraction of the work per window.
 fn sharded_workload(jobs: u32) -> (u64, u64) {
-    let r = polaris_collectives::parsim::simulate_collective_sharded(
+    let (r, _) = polaris_collectives::parsim::simulate_collective_sharded(
         512,
         Collective::Allreduce(AllreduceAlgo::Ring),
         1 << 20,
@@ -460,6 +460,11 @@ fn sharded_workload(jobs: u32) -> (u64, u64) {
     );
     (r.completion.0, r.messages)
 }
+
+/// Rounds of the sharded-engine measurement. Each run is ~0.25 s, and
+/// the 2-job gate compares two walls taken on a possibly shared host,
+/// so the engine takes more samples than the sweep.
+const ENGINE_SAMPLES: usize = 7;
 
 /// Measure both parallel paths at jobs = 2, 4 (and the machine's core
 /// count if larger), against their jobs = 1 serial walls.
@@ -493,21 +498,32 @@ fn measure_parallel(samples: usize) -> ParallelReport {
         })
         .collect();
 
-    let (serial_completion, serial_messages) = sharded_workload(1);
-    let engine_serial = best_of(samples, || sharded_workload(1).1);
-    let mut deterministic = true;
+    let serial_answer = sharded_workload(1);
+    let deterministic = job_counts
+        .iter()
+        .all(|&j| sharded_workload(j as u32) == serial_answer);
+    // Interleave the job counts within each round so that a burst of
+    // host load hits every count alike instead of one count's samples.
+    let time = |jobs: u32| best_of(1, || sharded_workload(jobs).1);
+    let mut engine_serial = f64::INFINITY;
+    let mut walls = vec![f64::INFINITY; job_counts.len()];
+    for _ in 0..ENGINE_SAMPLES {
+        engine_serial = engine_serial.min(time(1));
+        for (wall, &j) in walls.iter_mut().zip(&job_counts) {
+            *wall = wall.min(time(j as u32));
+        }
+    }
     let engine = job_counts
         .iter()
-        .map(|&j| {
-            let (completion, messages) = sharded_workload(j as u32);
-            deterministic &= completion == serial_completion && messages == serial_messages;
-            let wall = best_of(samples, || sharded_workload(j as u32).1);
-            // Only the 4-job point carries the >=3x engine gate.
+        .zip(walls)
+        .map(|(&j, wall)| {
+            // jobs=2 carries the break-even engine gate (needs 2 cores),
+            // jobs=4 the >=3x engine gate (needs 4).
             ParallelPoint {
                 jobs: j,
                 wall_seconds: wall,
                 speedup: engine_serial / wall,
-                status: point_status(j == 4 && cores >= 4),
+                status: point_status(cores >= j && j <= 4),
             }
         })
         .collect();
@@ -733,11 +749,17 @@ const MIN_SPEEDUP: f64 = 2.0;
 /// machines with >= 4 cores; a 1-core container cannot exhibit it.
 const MIN_PARALLEL_SPEEDUP: f64 = 1.6;
 
-/// Required sharded-engine speedup at 4 jobs (parallel-round-2
-/// acceptance criterion: per-channel lookahead + speculation + SoA
-/// storage must deliver real multi-core scaling, not the 1.17x the
-/// windowed-barrier design managed). Arms only with >= 4 cores.
+/// Required sharded-engine speedup at 4 jobs: per-channel lookahead
+/// and batched channel exchange must deliver real multi-core scaling,
+/// not the 1.17x the first windowed-barrier design managed. Arms only
+/// with >= 4 cores.
 const MIN_ENGINE_SPEEDUP_4: f64 = 3.0;
+
+/// The sharded engine at 2 jobs must at least break even against its
+/// own 1-job run. The conservative window protocol measures 1.07-1.23x
+/// on a 2-core VM; the retired speculative mode measured 0.15x there.
+/// Arms with >= 2 cores.
+const MIN_ENGINE_SPEEDUP_2: f64 = 1.0;
 
 /// The 2-job sweep must at least break even against serial once the
 /// persistent worker pool amortizes thread spawns (the 0.76x regression
@@ -918,6 +940,15 @@ pub fn check_gates(cur: &PerfReport, base: &PerfReport) -> Vec<String> {
         p.engine_deterministic,
         "identical completion/messages at every job count".to_string(),
     );
+    if let Some(pt) = p.engine.iter().find(|pt| pt.jobs == 2) {
+        if p.available_cores >= 2 {
+            gate(
+                "sharded engine speedup at 2 jobs >= 1.0x",
+                pt.speedup >= MIN_ENGINE_SPEEDUP_2,
+                format!("measured {:.2}x on {} cores", pt.speedup, p.available_cores),
+            );
+        }
+    }
     if let Some(pt) = p.sweep.iter().find(|pt| pt.jobs == 2) {
         if p.available_cores >= 2 {
             gate(
@@ -1277,6 +1308,19 @@ mod tests {
             status: point_status(true),
         }];
         assert!(!check_gates(&regressed_sweep, &base).is_empty());
+        // A sharded engine below break-even at 2 jobs trips its gate on
+        // a 2-core machine (the retired speculative mode's 0.15x), and
+        // nothing else does.
+        let mut slow_engine_2 = mk(3.0, 1.5);
+        slow_engine_2.parallel = mk_parallel(2, 1.5);
+        assert!(check_gates(&slow_engine_2, &base).is_empty());
+        slow_engine_2.parallel.engine[0].speedup = 0.15;
+        let failures = check_gates(&slow_engine_2, &base);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("sharded engine speedup at 2 jobs"));
+        // On one core the same number is informational only.
+        slow_engine_2.parallel.available_cores = 1;
+        assert!(check_gates(&slow_engine_2, &base).is_empty());
         // On a 1-core machine the speedup gates disarm (no hardware to
         // exhibit them) but the overhead floor still holds.
         let mut small = mk(3.0, 1.5);

@@ -84,6 +84,7 @@ pub fn simulate_hier_allreduce(
             link,
             jobs,
         )
+        .0
         .completion
     } else {
         SimDuration::ZERO
@@ -97,6 +98,7 @@ pub fn simulate_hier_allreduce(
             link,
             jobs,
         )
+        .0
         .completion
     } else {
         SimDuration::ZERO
@@ -104,7 +106,7 @@ pub fn simulate_hier_allreduce(
     let (inter_group, global_messages) = match inter {
         InterGroup::Packet => {
             if groups > 1 {
-                let r = simulate_collective_sharded(
+                let (r, _) = simulate_collective_sharded(
                     groups,
                     Collective::Allreduce(AllreduceAlgo::RecursiveDoubling),
                     bytes,

@@ -84,7 +84,6 @@ enum PEv {
     Arrive { from: u32, to: u32, bytes: u64, base: SimTime },
 }
 
-#[derive(Clone)]
 struct PRank {
     ops: Vec<SchedOp>,
     pc: usize,
@@ -99,7 +98,6 @@ struct PRank {
     down_busy: u64,
 }
 
-#[derive(Clone)]
 struct ParWorld {
     part: Partition,
     /// First rank owned by this shard.
@@ -246,7 +244,10 @@ impl ShardWorld for ParWorld {
 /// Execute one collective over a `p`-rank partitioned crossbar of
 /// `link`-class links, sharded across `jobs` engine shards (threaded
 /// when `jobs > 1`). Returns the same [`SimResult`] shape as the serial
-/// executor. Results are bit-identical for every `jobs` value.
+/// executor, plus the engine's [`ShardRunStats`] so callers can publish
+/// the per-shard event ledger through the observability plane
+/// (`ShardRunStats::publish`). Results are bit-identical for every
+/// `jobs` value.
 ///
 /// Panics if any rank's schedule deadlocks (a schedule-generation bug).
 pub fn simulate_collective_sharded(
@@ -256,43 +257,10 @@ pub fn simulate_collective_sharded(
     params: ExecParams,
     link: LinkModel,
     jobs: u32,
-) -> SimResult {
-    simulate_collective_sharded_stats(p, coll, bytes, params, link, jobs).0
-}
-
-/// Like [`simulate_collective_sharded`], additionally returning the
-/// engine's [`ShardRunStats`] so callers can publish the per-shard
-/// event ledger through the observability plane
-/// (`ShardRunStats::publish`) and reconcile it against the registry.
-pub fn simulate_collective_sharded_stats(
-    p: u32,
-    coll: Collective,
-    bytes: u64,
-    params: ExecParams,
-    link: LinkModel,
-    jobs: u32,
-) -> (SimResult, ShardRunStats) {
-    simulate_collective_sharded_opts(p, coll, bytes, params, link, jobs, true)
-}
-
-/// Like [`simulate_collective_sharded_stats`], with speculation under
-/// caller control: `speculate = false` pins the engine to conservative
-/// windows only. The result is bit-identical either way — the sentinel's
-/// rollback oracle holds that as an invariant — so the knob exists for
-/// differential testing and for measuring speculation itself, not for
-/// correctness.
-pub fn simulate_collective_sharded_opts(
-    p: u32,
-    coll: Collective,
-    bytes: u64,
-    params: ExecParams,
-    link: LinkModel,
-    jobs: u32,
-    speculate: bool,
 ) -> (SimResult, ShardRunStats) {
     assert!(p > 0, "at least one rank");
     let programs = (0..p).map(|r| schedule(coll, r, p, bytes)).collect();
-    simulate_programs_sharded_opts(programs, params, link, None, jobs, speculate)
+    simulate_programs_sharded(programs, params, link, None, jobs)
 }
 
 /// Execute arbitrary per-rank schedules (`programs[r]` is rank `r`'s
@@ -312,18 +280,6 @@ pub fn simulate_programs_sharded(
     link: LinkModel,
     path: Option<PathModel>,
     jobs: u32,
-) -> (SimResult, ShardRunStats) {
-    simulate_programs_sharded_opts(programs, params, link, path, jobs, true)
-}
-
-/// [`simulate_programs_sharded`] with speculation under caller control.
-pub fn simulate_programs_sharded_opts(
-    programs: Vec<Vec<SchedOp>>,
-    params: ExecParams,
-    link: LinkModel,
-    path: Option<PathModel>,
-    jobs: u32,
-    speculate: bool,
 ) -> (SimResult, ShardRunStats) {
     let p = programs.len() as u32;
     assert!(p > 0, "at least one rank");
@@ -362,11 +318,7 @@ pub fn simulate_programs_sharded_opts(
     for r in 0..p {
         sim.schedule(part.shard_of(r), SimTime::ZERO, (r as u64) << 32, PEv::Step(r));
     }
-    let stats = if speculate {
-        sim.run_spec(jobs > 1, None)
-    } else {
-        sim.run(jobs > 1, None)
-    };
+    let stats = sim.run(jobs > 1, None);
     let mut completion = SimTime::ZERO;
     let mut messages = 0;
     let mut payload_bytes = 0;
@@ -417,10 +369,10 @@ mod tests {
         for &(coll, bytes) in CASES {
             for p in [16u32, 31] {
                 let link = Generation::InfiniBand4x.link_model();
-                let base =
+                let (base, _) =
                     simulate_collective_sharded(p, coll, bytes, ExecParams::default(), link, 1);
                 for jobs in [2u32, 3, 4] {
-                    let run = simulate_collective_sharded(
+                    let (run, _) = simulate_collective_sharded(
                         p,
                         coll,
                         bytes,
@@ -444,7 +396,7 @@ mod tests {
         for &(coll, bytes) in CASES {
             let p = 16u32;
             let link = Generation::GigabitEthernet.link_model();
-            let sharded =
+            let (sharded, _) =
                 simulate_collective_sharded(p, coll, bytes, ExecParams::default(), link, 4);
             let mut net = Network::new(
                 Topology::new(TopologyKind::Crossbar { hosts: p }),
@@ -458,30 +410,10 @@ mod tests {
     }
 
     #[test]
-    fn speculation_is_transparent_to_collectives() {
-        // Conservative-only and speculative runs must agree bit for bit
-        // on every collective shape; speculation only changes how many
-        // windows the engine needed, never what the model computed.
-        for &(coll, bytes) in CASES {
-            let p = 16u32;
-            let link = Generation::InfiniBand4x.link_model();
-            let (cons, _) = simulate_collective_sharded_opts(
-                p, coll, bytes, ExecParams::default(), link, 2, false,
-            );
-            let (spec, _) = simulate_collective_sharded_opts(
-                p, coll, bytes, ExecParams::default(), link, 2, true,
-            );
-            assert_eq!(spec.completion, cons.completion, "{coll:?}");
-            assert_eq!(spec.messages, cons.messages, "{coll:?}");
-            assert_eq!(spec.payload_bytes, cons.payload_bytes, "{coll:?}");
-        }
-    }
-
-    #[test]
     fn completion_scales_with_generation() {
         // A slower wire must never finish the same collective sooner.
         let coll = Collective::Allreduce(AllreduceAlgo::Ring);
-        let fast = simulate_collective_sharded(
+        let (fast, _) = simulate_collective_sharded(
             16,
             coll,
             1 << 20,
@@ -489,7 +421,7 @@ mod tests {
             Generation::InfiniBand4x.link_model(),
             2,
         );
-        let slow = simulate_collective_sharded(
+        let (slow, _) = simulate_collective_sharded(
             16,
             coll,
             1 << 20,

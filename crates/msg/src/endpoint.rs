@@ -1881,6 +1881,12 @@ impl Endpoint {
     }
 
     fn repost_rx(&mut self, peer: u32, idx: u32) {
+        if self.down {
+            // A failed endpoint's QPs are in the error state and accept
+            // no new work; a receive that completed before the failure
+            // simply is not re-armed.
+            return;
+        }
         if peer == SRQ_PEER {
             let (srq, bufs) = self.srq.as_ref().expect("SRQ slot without SRQ");
             srq.post_recv(RecvWr::new(

@@ -7,30 +7,42 @@
 //! enforces that budget — 0 allocations per message — so any future
 //! `Vec`/`Box`/`clone` snuck into the hot path fails this test rather
 //! than quietly costing 100ns per message.
+//!
+//! Counting is per thread: every test drives both endpoints from its
+//! own thread and counts only that thread's allocations, so sibling
+//! tests the harness runs in parallel cannot leak into the budget.
 
 use polaris_msg::match_engine::{MatchEngine, MatchSpec};
 use polaris_msg::prelude::*;
 use polaris_nic::prelude::Fabric;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation (alloc, alloc_zeroed, realloc) in the test
-/// binary. Deallocations are free.
+/// Counts every allocation (alloc, alloc_zeroed, realloc) the calling
+/// thread makes. Deallocations are free.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn record() {
+    // `try_with`: allocations during thread teardown, after the
+    // counter is gone, are simply not counted.
+    let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record();
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record();
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -41,8 +53,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+/// Run `f` on the calling thread and return its result with the number
+/// of allocations this thread made inside it.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (r, ALLOCS.with(Cell::get) - before)
 }
 
 /// One matched eager round trip: rank 0 sends, rank 1 receives, both
@@ -82,14 +98,13 @@ fn eager_steady_state_is_allocation_free() {
         rbuf = r;
     }
 
-    let before = allocs();
     const MSGS: u64 = 1000;
-    for tag in 0..MSGS {
-        let (s, r) = eager_round(&mut eps, sbuf, rbuf, 1000 + tag);
-        sbuf = s;
-        rbuf = r;
-    }
-    let delta = allocs() - before;
+    let ((sbuf, rbuf), delta) = counted(|| {
+        for tag in 0..MSGS {
+            (sbuf, rbuf) = eager_round(&mut eps, sbuf, rbuf, 1000 + tag);
+        }
+        (sbuf, rbuf)
+    });
     assert_eq!(
         delta, 0,
         "eager steady state must not allocate (got {delta} allocations \
@@ -158,13 +173,17 @@ fn cancel_posted_with_no_match_does_not_allocate() {
     for i in 0..64u64 {
         eng.post_recv(MatchSpec::exact((i % 4) as u32, i), i);
     }
-    let before = allocs();
-    let cancelled = eng.cancel_posted(|spec| spec.src == Some(99));
+    let (cancelled, delta) = counted(|| eng.cancel_posted(|spec| spec.src == Some(99)));
     assert!(cancelled.is_empty());
-    assert_eq!(
-        allocs() - before,
-        0,
-        "in-place cancel sweep must not allocate"
-    );
+    assert_eq!(delta, 0, "in-place cancel sweep must not allocate");
     assert_eq!(eng.posted_len(), 64);
+}
+
+/// The counter is live: a zero-allocation verdict above means the fast
+/// path made no calls, not that the counter never moved.
+#[test]
+fn counter_sees_this_threads_allocations() {
+    let (v, delta) = counted(|| std::hint::black_box(vec![0u8; 64]));
+    assert_eq!(v.len(), 64);
+    assert!(delta >= 1, "counted {delta} allocations for a Vec");
 }

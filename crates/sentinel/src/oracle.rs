@@ -5,7 +5,8 @@
 //! * Calendar [`EventQueue`] vs the binary-heap reference queue — same
 //!   pop stream, same lengths, same `pop_at` behaviour.
 //! * Sharded conservative-parallel executor at 1 vs 2 vs 4 shards —
-//!   bit-identical completion times and message ledgers — and against
+//!   bit-identical completion times, message ledgers and dispatched
+//!   event counts — and against
 //!   the serial flow-level executor, which must agree on the
 //!   message/payload ledgers (virtual times legitimately differ: the
 //!   two engines resolve crossbar contention in different deterministic
@@ -13,15 +14,15 @@
 //! * Raw vs reliable delivery under the same chaos plan — whatever the
 //!   raw channel happens to deliver, the reliable channel must deliver
 //!   a superset: all of it, exactly once, in order.
+//! * A token workload whose cross-shard sends land exactly on window
+//!   edges, at 1 vs 2 vs 4 shards, with an event-conservation ledger.
 //! * Interrupted vs uninterrupted execution — a run cut at an arbitrary
 //!   horizon, snapshotted, restored into a fresh engine, and resumed
 //!   must be bit-identical to one that never stopped.
 
 use crate::gen::WorkloadSpec;
 use crate::Violation;
-use polaris_collectives::prelude::{
-    simulate_collective, simulate_collective_sharded, simulate_collective_sharded_opts, ExecParams,
-};
+use polaris_collectives::prelude::{simulate_collective, simulate_collective_sharded, ExecParams};
 use polaris_msg::prelude::{Endpoint, MatchSpec, MsgConfig, Protocol, Reliability};
 use polaris_nic::prelude::{ChaosParams, Fabric};
 use polaris_simnet::event::{reference::HeapQueue, EventQueue};
@@ -110,8 +111,9 @@ pub fn queue_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
 }
 
 /// Sharded executor determinism: jobs=1 is the reference; 2 and 4
-/// shards must be bit-identical, and the serial flow-level executor
-/// must agree on the message/payload ledgers.
+/// shards must be bit-identical (including the number of events
+/// dispatched), and the serial flow-level executor must agree on the
+/// message/payload ledgers.
 pub fn shard_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     let mut out = Vec::new();
     let (coll, bytes) = spec.collective();
@@ -121,9 +123,11 @@ pub fn shard_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     } else {
         Generation::InfiniBand4x.link_model()
     };
-    let base = simulate_collective_sharded(p, coll, bytes, ExecParams::default(), link, 1);
+    let (base, base_stats) =
+        simulate_collective_sharded(p, coll, bytes, ExecParams::default(), link, 1);
     for jobs in [2u32, 4] {
-        let run = simulate_collective_sharded(p, coll, bytes, ExecParams::default(), link, jobs);
+        let (run, stats) =
+            simulate_collective_sharded(p, coll, bytes, ExecParams::default(), link, jobs);
         check!(
             out,
             run.completion == base.completion,
@@ -141,6 +145,14 @@ pub fn shard_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
             run.payload_bytes,
             base.messages,
             base.payload_bytes
+        );
+        check!(
+            out,
+            stats.events_dispatched == base_stats.events_dispatched,
+            "shard-divergence",
+            "{coll:?} p={p} jobs={jobs}: {} events dispatched vs {} at 1 shard",
+            stats.events_dispatched,
+            base_stats.events_dispatched
         );
     }
     let mut net = Network::new(Topology::new(TopologyKind::Crossbar { hosts: p }), link);
@@ -411,7 +423,7 @@ pub fn route_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------
-// Speculation rollback oracle
+// Straggler oracle
 // ---------------------------------------------------------------------
 
 /// One straggler token in flight between ranks.
@@ -421,14 +433,12 @@ struct StragToken {
     hops_left: u32,
 }
 
-/// A token-passing world tuned to stress the speculation protocol:
-/// every forward lands either *exactly* on the window edge
-/// (`now + lookahead`, the worst-case straggler position — an arrival
-/// at the speculated frontier must roll the window back) or one
-/// lookahead beyond it (sparse enough for speculative windows to
-/// commit). The choice is a pure hash of `(rank, seq)`, so event
-/// times are independent of the shard layout and the run is
-/// bit-comparable across shard counts and speculation modes.
+/// A token-passing world tuned to stress the window protocol: every
+/// forward lands either *exactly* on the window edge (`now +
+/// lookahead`, where an off-by-one in the window bound would let the
+/// receiver drain past it) or one lookahead beyond it. The choice is a
+/// pure hash of `(rank, seq)`, so event times are independent of the
+/// shard layout and the run is bit-comparable across shard counts.
 #[derive(Clone)]
 struct StragWorld {
     part: Partition,
@@ -463,15 +473,8 @@ impl ShardWorld for StragWorld {
     }
 }
 
-/// Run the straggler workload and return the merged `(time, rank)`
-/// log plus total events dispatched.
-fn run_stragglers(
-    hosts: u32,
-    nshards: u32,
-    tokens: &[u32],
-    hops: u32,
-    speculate: bool,
-) -> (Vec<(u64, u32)>, u64) {
+/// The straggler workload on `nshards` shards, seeded but not yet run.
+fn straggler_sim(hosts: u32, nshards: u32, tokens: &[u32], hops: u32) -> ShardSim<StragWorld> {
     let part = Partition::block(hosts, nshards);
     let worlds: Vec<StragWorld> = (0..part.nshards)
         .map(|sh| {
@@ -493,113 +496,74 @@ fn run_stragglers(
             StragToken { rank: r, hops_left: hops },
         );
     }
-    let stats = if speculate {
-        sim.run_spec(false, None)
-    } else {
-        sim.run(false, None)
-    };
-    let mut log: Vec<(u64, u32)> = sim.worlds().flat_map(|w| w.log.iter().copied()).collect();
-    log.sort_unstable();
-    (log, stats.events_dispatched)
+    sim
 }
 
-/// Speculative windows must be *transparent*: bit-identical results to
-/// conservative execution, with rolled-back work invisible in every
-/// ledger. Two halves:
-///
-/// 1. The collective engine under `speculate = true` at 1/2/4 shards
-///    vs the conservative jobs=1 baseline — completion times and the
-///    message/payload ledgers replayed per configuration must agree
-///    exactly.
-/// 2. A token workload that injects stragglers exactly at window
-///    edges (forced rollbacks) interleaved with slack hops (committed
-///    windows), across shard counts and speculation modes, with an
-///    event-conservation ledger: every token accounts for exactly
-///    `hops + 1` dispatches, no double-counted or lost events.
-pub fn rollback_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let inv = "rollback-divergence";
+/// The merged `(time, rank)` log of a finished straggler run.
+fn straggler_log(sim: &ShardSim<StragWorld>) -> Vec<(u64, u32)> {
+    let mut log: Vec<(u64, u32)> = sim.worlds().flat_map(|w| w.log.iter().copied()).collect();
+    log.sort_unstable();
+    log
+}
 
-    // Half 1: collective-engine transparency + ledger replay.
-    let (coll, bytes) = spec.collective();
-    let p = spec.coll_ranks.max(3);
-    let link = if spec.seed & 1 == 0 {
-        Generation::GigabitEthernet.link_model()
-    } else {
-        Generation::InfiniBand4x.link_model()
-    };
-    let (base, base_stats) =
-        simulate_collective_sharded_opts(p, coll, bytes, ExecParams::default(), link, 1, false);
-    for jobs in [1u32, 2, 4] {
-        let (run, stats) =
-            simulate_collective_sharded_opts(p, coll, bytes, ExecParams::default(), link, jobs, true);
-        check!(
-            out,
-            run.completion == base.completion,
-            inv,
-            "{coll:?} p={p} jobs={jobs}: speculative completion {:?} != conservative {:?}",
-            run.completion,
-            base.completion
-        );
-        check!(
-            out,
-            run.messages == base.messages && run.payload_bytes == base.payload_bytes,
-            inv,
-            "{coll:?} p={p} jobs={jobs}: speculative ledger ({}, {}) != conservative ({}, {})",
-            run.messages,
-            run.payload_bytes,
-            base.messages,
-            base.payload_bytes
-        );
-        check!(
-            out,
-            stats.events_dispatched == base_stats.events_dispatched,
-            inv,
-            "{coll:?} p={p} jobs={jobs}: {} events dispatched vs {} — rolled-back work leaked \
-             into the commit ledger",
-            stats.events_dispatched,
-            base_stats.events_dispatched
-        );
-    }
+/// Run the straggler workload and return the merged `(time, rank)`
+/// log plus total events dispatched.
+fn run_stragglers(hosts: u32, nshards: u32, tokens: &[u32], hops: u32) -> (Vec<(u64, u32)>, u64) {
+    let mut sim = straggler_sim(hosts, nshards, tokens, hops);
+    let stats = sim.run(false, None);
+    (straggler_log(&sim), stats.events_dispatched)
+}
 
-    // Half 2: stragglers at window edges over the token workload.
-    let mut rng = SplitMix64::new(spec.seed ^ 0x726F_6C6C_6261_636B); // "rollback"
+/// The seed-derived straggler workload `(hosts, tokens, hops)`, drawn
+/// from `rng` (each oracle seeds its own stream).
+fn straggler_workload(spec: &WorkloadSpec, rng: &mut SplitMix64) -> (u32, Vec<u32>, u32) {
     let hosts = 5 + rng.next_below(8) as u32;
     let ntokens = spec.spec_tokens.clamp(1, 4) as usize;
     let hops = spec.spec_hops.clamp(1, 64);
-    let tokens: Vec<u32> = (0..ntokens)
+    let tokens = (0..ntokens)
         .map(|_| rng.next_below(hosts as u64) as u32)
         .collect();
+    (hosts, tokens, hops)
+}
+
+/// Window-edge sends must not perturb execution: the straggler token
+/// workload at 2 and 4 shards reproduces the 1-shard event log bit for
+/// bit, and an event-conservation ledger holds at every shard count —
+/// every token accounts for exactly `hops + 1` dispatches, none
+/// double-counted or lost.
+pub fn straggler_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let inv = "straggler-divergence";
+    // The "rollback" salt predates the oracle's name; pinned seeds keep it.
+    let mut rng = SplitMix64::new(spec.seed ^ 0x726F_6C6C_6261_636B); // "rollback"
+    let (hosts, tokens, hops) = straggler_workload(spec, &mut rng);
     let expected_events = tokens.len() as u64 * (hops as u64 + 1);
-    let (reference, ref_events) = run_stragglers(hosts, 1, &tokens, hops, false);
+    let (reference, ref_events) = run_stragglers(hosts, 1, &tokens, hops);
     check!(
         out,
         ref_events == expected_events,
-        "rollback-event-conservation",
-        "conservative reference dispatched {ref_events} events, ledger expects {expected_events}"
+        "straggler-event-conservation",
+        "1-shard reference dispatched {ref_events} events, ledger expects {expected_events}"
     );
-    for nshards in [1u32, 2, 4] {
-        for speculate in [false, true] {
-            let (log, events) = run_stragglers(hosts, nshards, &tokens, hops, speculate);
-            check!(
-                out,
-                log == reference,
-                inv,
-                "straggler workload diverged at nshards={nshards} speculate={speculate}: \
-                 {} events vs {} (hosts={hosts} tokens={tokens:?} hops={hops})",
-                log.len(),
-                reference.len()
-            );
-            check!(
-                out,
-                events == expected_events,
-                "rollback-event-conservation",
-                "nshards={nshards} speculate={speculate}: dispatched {events} != ledger \
-                 {expected_events} — speculative replay double-counted or dropped events"
-            );
-            if !out.is_empty() {
-                return out; // one divergence cascades; report the first
-            }
+    for nshards in [2u32, 4] {
+        let (log, events) = run_stragglers(hosts, nshards, &tokens, hops);
+        check!(
+            out,
+            log == reference,
+            inv,
+            "straggler workload diverged at nshards={nshards}: {} events vs {} \
+             (hosts={hosts} tokens={tokens:?} hops={hops})",
+            log.len(),
+            reference.len()
+        );
+        check!(
+            out,
+            events == expected_events,
+            "straggler-event-conservation",
+            "nshards={nshards}: dispatched {events} != ledger {expected_events}"
+        );
+        if !out.is_empty() {
+            return out; // one divergence cascades; report the first
         }
     }
     out
@@ -618,55 +582,23 @@ fn run_stragglers_split(
     nshards: u32,
     tokens: &[u32],
     hops: u32,
-    speculate: bool,
     cut: SimTime,
 ) -> (Vec<(u64, u32)>, u64) {
-    let part = Partition::block(hosts, nshards);
-    let worlds: Vec<StragWorld> = (0..part.nshards)
-        .map(|sh| {
-            let ranks = part.ranks_of(sh);
-            StragWorld {
-                part,
-                base: ranks.start,
-                seqs: ranks.map(|_| 0).collect(),
-                log: Vec::new(),
-            }
-        })
-        .collect();
-    let mut sim = ShardSim::uniform(worlds, SimDuration(5));
-    for (i, &r) in tokens.iter().enumerate() {
-        sim.schedule(
-            part.shard_of(r),
-            SimTime(r as u64),
-            ((r as u64) << 32) | (i as u64) << 16,
-            StragToken { rank: r, hops_left: hops },
-        );
-    }
-    let first = if speculate {
-        sim.run_spec(false, Some(cut))
-    } else {
-        sim.run(false, Some(cut))
-    };
+    let mut sim = straggler_sim(hosts, nshards, tokens, hops);
+    let first = sim.run(false, Some(cut));
     let snap = sim.snapshot();
     drop(sim); // the restored engine must not lean on the original
     let mut resumed = snap.restore();
-    let second = if speculate {
-        resumed.run_spec(false, None)
-    } else {
-        resumed.run(false, None)
-    };
-    let mut log: Vec<(u64, u32)> =
-        resumed.worlds().flat_map(|w| w.log.iter().copied()).collect();
-    log.sort_unstable();
-    (log, first.events_dispatched + second.events_dispatched)
+    let second = resumed.run(false, None);
+    (straggler_log(&resumed), first.events_dispatched + second.events_dispatched)
 }
 
 /// Checkpoint/restore must be *invisible*: a run interrupted at an
 /// arbitrary horizon, snapshotted, restored into a fresh engine, and
 /// resumed must produce the bit-identical event log and event count of
-/// an uninterrupted conservative 1-shard run — at every shard count,
-/// with and without speculative windows, and regardless of where the
-/// cut lands (mid-window, with deferred cross-shard sends in flight).
+/// an uninterrupted 1-shard run — at every shard count, and regardless
+/// of where the cut lands (mid-window, with cross-shard sends in
+/// flight).
 /// The snapshot itself must be reusable: two restores from the same
 /// snapshot resume to the same result.
 pub fn snapshot_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
@@ -674,15 +606,10 @@ pub fn snapshot_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     let inv = "snapshot-divergence";
 
     let mut rng = SplitMix64::new(spec.seed ^ 0x736E_6170_5F63_7574); // "snap_cut"
-    let hosts = 5 + rng.next_below(8) as u32;
-    let ntokens = spec.spec_tokens.clamp(1, 4) as usize;
-    let hops = spec.spec_hops.clamp(1, 64);
-    let tokens: Vec<u32> = (0..ntokens)
-        .map(|_| rng.next_below(hosts as u64) as u32)
-        .collect();
+    let (hosts, tokens, hops) = straggler_workload(spec, &mut rng);
     let expected_events = tokens.len() as u64 * (hops as u64 + 1);
 
-    let (reference, ref_events) = run_stragglers(hosts, 1, &tokens, hops, false);
+    let (reference, ref_events) = run_stragglers(hosts, 1, &tokens, hops);
     check!(
         out,
         ref_events == expected_events,
@@ -691,74 +618,48 @@ pub fn snapshot_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     );
     let end = reference.last().map(|&(t, _)| t).unwrap_or(0).max(2);
     // Two seed-derived cut points: one in the first half of virtual
-    // time (deferred sends still in flight), one in the second (most
-    // tokens retired, queues draining).
+    // time (most tokens in flight), one in the second (most tokens
+    // retired, queues draining).
     let cuts = [
         SimTime(1 + rng.next_below(end / 2)),
         SimTime(end / 2 + 1 + rng.next_below(end - end / 2)),
     ];
     for &cut in &cuts {
         for nshards in [1u32, 2, 4] {
-            for speculate in [false, true] {
-                let (log, events) =
-                    run_stragglers_split(hosts, nshards, &tokens, hops, speculate, cut);
-                check!(
-                    out,
-                    log == reference,
-                    inv,
-                    "resumed run diverged at nshards={nshards} speculate={speculate} \
-                     cut={}: {} events vs {} (hosts={hosts} tokens={tokens:?} hops={hops})",
-                    cut.0,
-                    log.len(),
-                    reference.len()
-                );
-                check!(
-                    out,
-                    events == expected_events,
-                    "snapshot-event-conservation",
-                    "nshards={nshards} speculate={speculate} cut={}: dispatched {events} != \
-                     ledger {expected_events} — the cut double-counted or dropped events",
-                    cut.0
-                );
-                if !out.is_empty() {
-                    return out; // one divergence cascades; report the first
-                }
+            let (log, events) = run_stragglers_split(hosts, nshards, &tokens, hops, cut);
+            check!(
+                out,
+                log == reference,
+                inv,
+                "resumed run diverged at nshards={nshards} cut={}: {} events vs {} \
+                 (hosts={hosts} tokens={tokens:?} hops={hops})",
+                cut.0,
+                log.len(),
+                reference.len()
+            );
+            check!(
+                out,
+                events == expected_events,
+                "snapshot-event-conservation",
+                "nshards={nshards} cut={}: dispatched {events} != ledger {expected_events} \
+                 — the cut double-counted or dropped events",
+                cut.0
+            );
+            if !out.is_empty() {
+                return out; // one divergence cascades; report the first
             }
         }
     }
 
     // A snapshot is a value, not a transfer of ownership: restoring it
     // twice must yield the same resumed result both times.
-    let part = Partition::block(hosts, 2);
-    let worlds: Vec<StragWorld> = (0..part.nshards)
-        .map(|sh| {
-            let ranks = part.ranks_of(sh);
-            StragWorld {
-                part,
-                base: ranks.start,
-                seqs: ranks.map(|_| 0).collect(),
-                log: Vec::new(),
-            }
-        })
-        .collect();
-    let mut sim = ShardSim::uniform(worlds, SimDuration(5));
-    for (i, &r) in tokens.iter().enumerate() {
-        sim.schedule(
-            part.shard_of(r),
-            SimTime(r as u64),
-            ((r as u64) << 32) | (i as u64) << 16,
-            StragToken { rank: r, hops_left: hops },
-        );
-    }
+    let mut sim = straggler_sim(hosts, 2, &tokens, hops);
     sim.run(false, Some(cuts[0]));
     let snap = sim.snapshot();
     let resume = |snap: &ShardSnapshot<StragWorld>| {
         let mut sim = snap.restore();
         sim.run(false, None);
-        let mut log: Vec<(u64, u32)> =
-            sim.worlds().flat_map(|w| w.log.iter().copied()).collect();
-        log.sort_unstable();
-        log
+        straggler_log(&sim)
     };
     let (a, b) = (resume(&snap), resume(&snap));
     check!(

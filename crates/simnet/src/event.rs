@@ -354,19 +354,6 @@ impl<E> EventQueue<E> {
         Some((h.time, unsafe { self.arena.take(h.slot) }))
     }
 
-    /// Remove and return the earliest event together with its tie-break
-    /// key. The speculative shard executor uses the key to journal
-    /// popped events so a rollback can re-insert them under the exact
-    /// `(time, key)` identity they were scheduled with.
-    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.current.is_empty() && !self.advance() && self.behind.is_empty() {
-            return None;
-        }
-        let h = self.pop_handle();
-        // SAFETY: `h` was just removed from the queue's containers.
-        Some((h.time, h.seq, unsafe { self.arena.take(h.slot) }))
-    }
-
     /// Time of the earliest pending event without removing it.
     ///
     /// Takes `&mut self` because finding the minimum may advance the
@@ -376,9 +363,6 @@ impl<E> EventQueue<E> {
     }
 
     /// `(time, key)` of the earliest pending event without removing it.
-    ///
-    /// The sharded engine compares this against inbound cross-shard
-    /// events to decide whether a speculative window survived the merge.
     pub fn peek_entry(&mut self) -> Option<(SimTime, u64)> {
         if self.current.is_empty() && !self.advance() && self.behind.is_empty() {
             return None;
@@ -878,9 +862,10 @@ mod tests {
         q.push_keyed(SimTime(9), 77, "x");
         q.push_keyed(SimTime(4), 12, "y");
         assert_eq!(q.peek_entry(), Some((SimTime(4), 12)));
-        assert_eq!(q.pop_entry(), Some((SimTime(4), 12, "y")));
-        assert_eq!(q.pop_entry(), Some((SimTime(9), 77, "x")));
-        assert_eq!(q.pop_entry(), None);
+        assert_eq!(q.pop(), Some((SimTime(4), "y")));
+        assert_eq!(q.peek_entry(), Some((SimTime(9), 77)));
+        assert_eq!(q.pop(), Some((SimTime(9), "x")));
+        assert_eq!(q.peek_entry(), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Snapshot round-trip suite for the serving plane's checkpoint/restore
 //! layer.
 //!
-//! Two contracts:
+//! Three contracts:
 //!
 //! * **Queue identity** — an [`EventQueue`] snapshot (including a trip
 //!   through JSON) restores to a queue whose pop sequence, and whose
@@ -9,11 +9,12 @@
 //!   The calendar layout (wheel vs behind vs far, arena slot numbers)
 //!   is deliberately *not* part of the contract; only the `(time, key)`
 //!   total order is, and pops are a pure function of it.
-//! * **Simulator identity** — `run`/`run_spec` interrupted at an
-//!   arbitrary horizon, snapshotted, serialized to JSON, restored in a
-//!   fresh simulator, and resumed, produces bit-identical model results
-//!   to the uninterrupted run — across 1/2/4 shards and with
-//!   speculation on or off.
+//! * **Simulator identity** — `run` interrupted at an arbitrary
+//!   horizon, snapshotted, serialized to JSON, restored in a fresh
+//!   simulator, and resumed, produces bit-identical model results to
+//!   the uninterrupted run — across 1/2/4 shards.
+//! * **Schema gate** — a document written under an older snapshot
+//!   schema is refused with the schema error, never half-parsed.
 
 use polaris_simnet::prelude::*;
 use proptest::prelude::*;
@@ -81,16 +82,11 @@ proptest! {
 /// (parallel `log_time`/`log_rank` vectors — the vendored serde shim
 /// has no tuple impls) and forwards to the next rank exactly one
 /// minimum-lookahead later, the window edge, which is the worst case
-/// for both the conservative protocol and speculation.
+/// for the window protocol.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 struct SnapWorld {
     part: Partition,
     base: u32,
-    /// Hop delay as a multiple of the channel lookahead: 1 puts every
-    /// send exactly on the window edge (worst case, rollback-heavy);
-    /// larger strides land sends well inside peers' windows
-    /// (commit-heavy).
-    stride: u64,
     seqs: Vec<u64>,
     log_time: Vec<u64>,
     log_rank: Vec<u32>,
@@ -114,7 +110,7 @@ impl ShardWorld for SnapWorld {
         let seq = &mut self.seqs[(ev.rank - self.base) as usize];
         *seq += 1;
         let key = ((ev.rank as u64) << 32) | *seq;
-        let at = SimTime(ctx.now().0 + self.stride * ctx.lookahead().0);
+        let at = SimTime(ctx.now().0 + ctx.lookahead().0);
         ctx.send(
             self.part.shard_of(next),
             at,
@@ -124,11 +120,7 @@ impl ShardWorld for SnapWorld {
     }
 }
 
-fn fresh_sim_stride(
-    hosts: u32,
-    nshards: u32,
-    stride: u64,
-) -> (Partition, ShardSim<SnapWorld>) {
+fn fresh_sim(hosts: u32, nshards: u32) -> (Partition, ShardSim<SnapWorld>) {
     let part = Partition::block(hosts, nshards);
     let worlds: Vec<SnapWorld> = (0..part.nshards)
         .map(|sh| {
@@ -136,7 +128,6 @@ fn fresh_sim_stride(
             SnapWorld {
                 part,
                 base: ranks.start,
-                stride,
                 seqs: ranks.map(|_| 0).collect(),
                 log_time: Vec::new(),
                 log_rank: Vec::new(),
@@ -145,10 +136,6 @@ fn fresh_sim_stride(
         .collect();
     let sim = ShardSim::uniform(worlds, SimDuration(3));
     (part, sim)
-}
-
-fn fresh_sim(hosts: u32, nshards: u32) -> (Partition, ShardSim<SnapWorld>) {
-    fresh_sim_stride(hosts, nshards, 1)
 }
 
 fn seed_tokens(sim: &mut ShardSim<SnapWorld>, part: Partition, mask: u16, hops: u32) {
@@ -175,42 +162,31 @@ fn logs(sim: &ShardSim<SnapWorld>) -> Vec<(u64, u32)> {
     log
 }
 
-fn drive(sim: &mut ShardSim<SnapWorld>, spec: bool, horizon: Option<SimTime>) {
-    if spec {
-        sim.run_spec(false, horizon);
-    } else {
-        sim.run(false, horizon);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // The tentpole contract: interrupt at a horizon, snapshot, push
     // the snapshot through JSON, restore into a fresh simulator,
     // resume to completion — and get the exact event log the
-    // uninterrupted run produces, at every shard count, with and
-    // without speculation on either side of the cut.
+    // uninterrupted run produces, at every shard count.
     #[test]
     fn split_run_restored_from_json_matches_uninterrupted(
         hosts in 4u32..=10,
         mask in 1u16..=0xffff,
         hops in 4u32..=40,
         cut in 1u64..=120,
-        spec_sel in 0u32..=3,
     ) {
         let mask = mask | 1;
-        let (spec_before, spec_after) = (spec_sel & 1 != 0, spec_sel & 2 != 0);
         let (part, mut reference) = fresh_sim(hosts, 1);
         seed_tokens(&mut reference, part, mask, hops);
-        drive(&mut reference, false, None);
+        reference.run(false, None);
         let want = logs(&reference);
         prop_assert!(!want.is_empty());
 
         for nshards in [1u32, 2, 4] {
             let (part, mut sim) = fresh_sim(hosts, nshards);
             seed_tokens(&mut sim, part, mask, hops);
-            drive(&mut sim, spec_before, Some(SimTime(cut)));
+            sim.run(false, Some(SimTime(cut)));
 
             let snap = sim.snapshot();
             let json = serde_json::to_string(&snap).expect("snapshot serializes");
@@ -218,11 +194,8 @@ proptest! {
                 serde_json::from_str(&json).expect("snapshot parses");
             let mut restored = back.restore();
 
-            drive(&mut restored, spec_after, None);
-            prop_assert!(
-                logs(&restored) == want,
-                "diverged at nshards={nshards} cut={cut} spec=({spec_before},{spec_after})"
-            );
+            restored.run(false, None);
+            prop_assert!(logs(&restored) == want, "diverged at nshards={nshards} cut={cut}");
         }
     }
 }
@@ -239,80 +212,36 @@ fn chained_checkpoints_stay_bit_identical() {
     assert!(!want.is_empty());
 
     for nshards in [1u32, 2, 4] {
-        for spec in [false, true] {
-            let (part, mut sim) = fresh_sim(9, nshards);
-            seed_tokens(&mut sim, part, 0x2d7, 36);
-            for cut in [5u64, 17, 40, 77] {
-                drive(&mut sim, spec, Some(SimTime(cut)));
-                let json = serde_json::to_string(&sim.snapshot()).expect("serializes");
-                let back: ShardSnapshot<SnapWorld> =
-                    serde_json::from_str(&json).expect("parses");
-                sim = back.restore();
-            }
-            drive(&mut sim, spec, None);
-            assert_eq!(logs(&sim), want, "nshards={nshards} spec={spec}");
+        let (part, mut sim) = fresh_sim(9, nshards);
+        seed_tokens(&mut sim, part, 0x2d7, 36);
+        for cut in [5u64, 17, 40, 77] {
+            sim.run(false, Some(SimTime(cut)));
+            let json = serde_json::to_string(&sim.snapshot()).expect("serializes");
+            let back: ShardSnapshot<SnapWorld> = serde_json::from_str(&json).expect("parses");
+            sim = back.restore();
         }
+        sim.run(false, None);
+        assert_eq!(logs(&sim), want, "nshards={nshards}");
     }
 }
 
-/// A snapshot taken mid-stream still carries committed-but-undelivered
-/// speculative sends (`deferred`): force that path explicitly by
-/// cutting a speculative multi-shard run at many horizons and checking
-/// each restore. (If `deferred` were dropped, tokens would vanish and
-/// the log would shrink.)
+/// A document written under the previous schema (`/1`, which also
+/// carried speculative-send arrays) is refused with the schema error,
+/// not parsed into a simulator that silently lost state.
 #[test]
-fn deferred_sends_survive_the_snapshot() {
-    let (part, mut reference) = fresh_sim(8, 1);
-    seed_tokens(&mut reference, part, 0xff, 30);
-    reference.run(false, None);
-    let want = logs(&reference);
-
-    for cut in 1u64..=60 {
-        let (part, mut sim) = fresh_sim(8, 4);
-        seed_tokens(&mut sim, part, 0xff, 30);
-        sim.run_spec(false, Some(SimTime(cut)));
-        let mut restored = sim.snapshot().restore();
-        restored.run_spec(false, None);
-        assert_eq!(logs(&restored), want, "cut={cut}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Adaptive speculation depth (satellite): pinned deterministic test
-// ---------------------------------------------------------------------
-
-/// The AIMD speculation depth is a pure function of the commit/rollback
-/// sequence, so two identical serial runs report identical final
-/// depths — a window-edge workload (rollbacks dominate) drives the
-/// depth *down* toward its floor of 8, a relaxed-stride workload
-/// (commits dominate) drives it *up* past its initial 64, and the cap
-/// keeps every trajectory within [8, 4096].
-#[test]
-fn adaptive_speculation_depth_is_deterministic_and_adapts() {
-    let run_depths = |nshards: u32, stride: u64, mask: u16, hops: u32| {
-        let (part, mut sim) = fresh_sim_stride(10, nshards, stride);
-        seed_tokens(&mut sim, part, mask, hops);
-        let stats = sim.run_spec(false, None);
-        stats.spec_final_depth
-    };
-
-    // Determinism: bit-equal depth vectors run to run, both regimes.
-    let edge = run_depths(4, 1, 0x3ff, 48);
-    assert_eq!(edge, run_depths(4, 1, 0x3ff, 48), "depth adaptation must be deterministic");
-    let relaxed = run_depths(4, 7, 0x3ff, 48);
-    assert_eq!(relaxed, run_depths(4, 7, 0x3ff, 48), "depth adaptation must be deterministic");
-    assert_eq!((edge.len(), relaxed.len()), (4, 4));
-    for d in edge.iter().chain(&relaxed) {
-        assert!((8..=4096).contains(d), "depth {d} out of AIMD range");
-    }
-
-    // Window-edge sends invalidate nearly every speculative window, so
-    // the halving path pulls at least one shard below the initial
-    // depth; relaxed sends commit windows, so the doubling path pushes
-    // at least one shard above it.
-    assert!(edge.iter().any(|&d| d < 64), "edge workload never adapted down: {edge:?}");
-    assert!(relaxed.iter().any(|&d| d > 64), "relaxed workload never adapted up: {relaxed:?}");
-
-    // Single-shard runs never speculate: depth stays pinned at 64.
-    assert_eq!(run_depths(1, 1, 0x3ff, 48), vec![64]);
+fn older_snapshot_schema_is_rejected() {
+    let (part, mut sim) = fresh_sim(6, 2);
+    seed_tokens(&mut sim, part, 0x3f, 10);
+    sim.run(false, Some(SimTime(20)));
+    let json = serde_json::to_string(&sim.snapshot()).expect("serializes");
+    assert!(json.contains("\"polaris-shardsim-snapshot/2\""), "{json}");
+    let old = json.replace("polaris-shardsim-snapshot/2", "polaris-shardsim-snapshot/1");
+    let err = serde_json::from_str::<ShardSnapshot<SnapWorld>>(&old)
+        .err()
+        .expect("a /1 document must not parse");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("unsupported shard snapshot schema") && msg.contains("snapshot/1"),
+        "unexpected error: {msg}"
+    );
 }

@@ -4,53 +4,64 @@
 //! deriving routes through [`Topology::route_plan`] must not allocate
 //! at all.
 //!
-//! The test binary installs [`polaris_bench::perf::CountingAlloc`] as
-//! its global allocator and counts allocator calls around the
-//! constructor and the routing hot path. The caps are absolute and
+//! The test binary installs a metering global allocator that counts
+//! allocator calls and bytes *per thread*, and each test meters only
+//! its own region on its own thread: the harness runs sibling tests in
+//! parallel, and a process-wide counter would charge their allocations
+//! to whichever region happened to be open. The caps are absolute and
 //! generous: the 1M-host machine has 65,536 routers, so an O(hosts)
 //! slip costs ~1M allocator-visible bytes in one growth sequence and an
 //! O(hosts^2) table is astronomically over the cap — while the intended
 //! O(1)/O(routers) representation stays in single digits.
 
-use polaris_bench::perf::CountingAlloc;
 use polaris_simnet::rng::SplitMix64;
 use polaris_simnet::topology::{Routing, Topology, TopologyKind};
-use std::alloc::{GlobalAlloc, Layout};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
-/// Wrap the bench counting allocator with a byte counter so the test
-/// can bound total constructor footprint, not just call count.
+/// The system allocator plus per-thread call and byte counters.
 struct MeteredAlloc;
 
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn record(bytes: usize) {
+    // `try_with`: allocations during thread teardown, after the
+    // counters are gone, are simply not metered.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
+}
 
 unsafe impl GlobalAlloc for MeteredAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { CountingAlloc.alloc(layout) }
+        record(layout.size());
+        unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { CountingAlloc.alloc_zeroed(layout) }
+        record(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { CountingAlloc.realloc(ptr, layout, new_size) }
+        record(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { CountingAlloc.dealloc(ptr, layout) }
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 
 #[global_allocator]
 static ALLOC: MeteredAlloc = MeteredAlloc;
 
-fn counts() -> (u64, u64) {
-    (CALLS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
+/// Run `f` on the calling thread and return its result with the
+/// allocator calls and bytes this thread made inside it.
+fn metered<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (calls0, bytes0) = (CALLS.with(Cell::get), BYTES.with(Cell::get));
+    let r = f();
+    let (calls1, bytes1) = (CALLS.with(Cell::get), BYTES.with(Cell::get));
+    (r, calls1 - calls0, bytes1 - bytes0)
 }
 
 const MILLION_HOST_FLY: TopologyKind = TopologyKind::Dragonfly {
@@ -65,12 +76,8 @@ const MILLION_HOST_FLY: TopologyKind = TopologyKind::Dragonfly {
 /// O(hosts) and certainly not O(hosts^2).
 #[test]
 fn million_host_dragonfly_builds_in_o_routers_memory() {
-    let (calls0, bytes0) = counts();
-    let topo = std::hint::black_box(Topology::new(MILLION_HOST_FLY));
-    let (calls1, bytes1) = counts();
+    let (topo, calls, bytes) = metered(|| std::hint::black_box(Topology::new(MILLION_HOST_FLY)));
     assert_eq!(topo.hosts(), 1 << 20);
-    let calls = calls1 - calls0;
-    let bytes = bytes1 - bytes0;
     // 65,536 routers at even one byte each would pass; one u32 per host
     // (4 MiB) would not, and a hosts^2 route table (4 TiB) is absurd.
     assert!(calls <= 64, "Topology::new made {calls} allocator calls");
@@ -92,21 +99,27 @@ fn route_plan_hot_path_is_allocation_free() {
         // Warm up once so lazy process-wide state cannot masquerade as
         // a per-route allocation.
         let _ = std::hint::black_box(topo.hops(0, topo.hosts() - 1));
-        let (calls0, _) = counts();
-        let mut acc = 0u64;
-        for _ in 0..10_000 {
-            let s = rng.next_below(hosts) as u32;
-            let d = rng.next_below(hosts) as u32;
-            for link in topo.route_plan(s, d) {
-                acc = acc.wrapping_add(link.0 as u64);
+        let (acc, calls, _) = metered(|| {
+            let mut acc = 0u64;
+            for _ in 0..10_000 {
+                let s = rng.next_below(hosts) as u32;
+                let d = rng.next_below(hosts) as u32;
+                for link in topo.route_plan(s, d) {
+                    acc = acc.wrapping_add(link.0 as u64);
+                }
             }
-        }
-        let (calls1, _) = counts();
+            acc
+        });
         std::hint::black_box(acc);
-        assert_eq!(
-            calls1 - calls0,
-            0,
-            "route_plan allocated under {routing:?}"
-        );
+        assert_eq!(calls, 0, "route_plan allocated under {routing:?}");
     }
+}
+
+/// The meter is live: a zero-allocation verdict above means the hot
+/// path made no calls, not that the counters never moved.
+#[test]
+fn metering_counts_this_threads_allocations() {
+    let (v, calls, bytes) = metered(|| std::hint::black_box(vec![0u8; 4096]));
+    assert_eq!(v.len(), 4096);
+    assert!(calls >= 1 && bytes >= 4096, "metered {calls} calls / {bytes} bytes");
 }

@@ -17,7 +17,7 @@
 
 use polaris_bench::figures::f11_chaos;
 use polaris_collectives::prelude::{
-    simulate_collective_sharded_stats, AllreduceAlgo, Collective, ExecParams,
+    simulate_collective_sharded, AllreduceAlgo, Collective, ExecParams,
 };
 use polaris_msg::prelude::{Endpoint, MatchSpec, MsgConfig, Protocol, Reliability};
 use polaris_nic::prelude::*;
@@ -319,7 +319,7 @@ fn pool_ledgers_reconcile_with_registry() {
 #[test]
 fn shard_event_ledger_reconciles_with_registry() {
     let jobs = 4u32;
-    let (result, stats) = simulate_collective_sharded_stats(
+    let (result, stats) = simulate_collective_sharded(
         32,
         Collective::Allreduce(AllreduceAlgo::Ring),
         1 << 16,

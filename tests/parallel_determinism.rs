@@ -39,10 +39,10 @@ fn sharded_runs_are_identical_at_1_2_4_shards() {
                 Generation::GigabitEthernet.link_model(),
                 Generation::InfiniBand4x.link_model(),
             ] {
-                let base =
+                let (base, base_stats) =
                     simulate_collective_sharded(p, coll, bytes, ExecParams::default(), link, 1);
                 for jobs in [2u32, 4] {
-                    let run = simulate_collective_sharded(
+                    let (run, stats) = simulate_collective_sharded(
                         p,
                         coll,
                         bytes,
@@ -56,6 +56,10 @@ fn sharded_runs_are_identical_at_1_2_4_shards() {
                     );
                     assert_eq!(run.messages, base.messages, "{coll:?} p={p} jobs={jobs}");
                     assert_eq!(run.payload_bytes, base.payload_bytes, "{coll:?} p={p} jobs={jobs}");
+                    assert_eq!(
+                        stats.events_dispatched, base_stats.events_dispatched,
+                        "{coll:?} p={p} jobs={jobs}"
+                    );
                 }
             }
         }
@@ -71,7 +75,8 @@ fn sharded_message_ledger_matches_serial_executor() {
     for &(coll, bytes) in WORKLOADS {
         let p = 48u32;
         let link = Generation::GigabitEthernet.link_model();
-        let sharded = simulate_collective_sharded(p, coll, bytes, ExecParams::default(), link, 4);
+        let (sharded, _) =
+            simulate_collective_sharded(p, coll, bytes, ExecParams::default(), link, 4);
         let mut net = Network::new(Topology::new(TopologyKind::Crossbar { hosts: p }), link);
         let serial = simulate_collective(&mut net, coll, bytes, ExecParams::default());
         assert_eq!(sharded.messages, serial.messages, "{coll:?}");
