@@ -17,6 +17,9 @@
 //! before `t + hop_latency`, which is exactly the window bound
 //! [`ShardSim`] needs.
 //!
+//! Receives use the same per-pair mailboxes as the serial executor
+//! (`mailbox.rs`), one per shard, indexed by the shard's local rank.
+//!
 //! **Determinism / shard-count invariance.** Every event carries a key
 //! derived from global identities — `rank << 32 | per-rank sequence` —
 //! and each rank's sequence counter is only ever advanced by events
@@ -30,12 +33,11 @@
 //! exact picoseconds — the sharded executor's `jobs = 1` run is the
 //! reference for its own parallel runs.
 
+use crate::mailbox::{Mailboxes, Recv};
 use crate::simx::{schedule, Collective, ExecParams, SchedOp, SimResult};
-use polaris_simnet::fasthash::FastHashMap;
 use polaris_simnet::link::LinkModel;
 use polaris_simnet::shard::{Partition, ShardCtx, ShardRunStats, ShardSim, ShardWorld};
 use polaris_simnet::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// What one message pays for its route across the fabric, beyond the
@@ -87,7 +89,6 @@ enum PEv {
 struct PRank {
     ops: Vec<SchedOp>,
     pc: usize,
-    time: SimTime,
     finished: Option<SimTime>,
     /// Per-rank event sequence; with the rank id it forms the globally
     /// unique tie-break key.
@@ -107,8 +108,8 @@ struct ParWorld {
     /// Route costs; `None` is the 2-hop crossbar.
     path: Option<PathModel>,
     ranks: Vec<PRank>,
-    mailboxes: Vec<FastHashMap<u32, VecDeque<SimTime>>>,
-    waiting_on: Vec<Option<u32>>,
+    /// Receive state, indexed by local rank.
+    mail: Mailboxes,
     messages: u64,
     payload_bytes: u64,
 }
@@ -137,8 +138,6 @@ impl ParWorld {
     fn step(&mut self, ctx: &mut ShardCtx<'_, PEv>, r: u32) {
         let now = ctx.now();
         let local = self.local(r);
-        debug_assert!(self.ranks[local].time <= now);
-        self.ranks[local].time = now;
         let Some(op) = self.ranks[local].ops.get(self.ranks[local].pc).copied() else {
             self.ranks[local].finished.get_or_insert(now);
             return;
@@ -167,40 +166,22 @@ impl ParWorld {
                 let skey = self.next_key(r);
                 ctx.at(SimTime(t), skey, PEv::Step(r));
             }
-            SchedOp::Recv { from } => {
-                let arrival = self.mailboxes[local].get_mut(&from).and_then(|q| {
-                    if q.front().is_some_and(|&a| a <= now) {
-                        q.pop_front()
-                    } else {
-                        None
-                    }
-                });
-                match arrival {
-                    Some(_) => {
-                        self.ranks[local].pc += 1;
-                        let key = self.next_key(r);
-                        ctx.at(now + self.params.overhead, key, PEv::Step(r));
-                    }
-                    None => {
-                        if let Some(&a) = self.mailboxes[local].get(&from).and_then(|q| q.front()) {
-                            let key = self.next_key(r);
-                            ctx.at(a.max(now), key, PEv::Step(r));
-                        } else {
-                            self.waiting_on[local] = Some(from);
-                        }
-                    }
+            SchedOp::Recv { from } => match self.mail.recv(local as u32, from, now) {
+                Recv::Ready => {
+                    self.ranks[local].pc += 1;
+                    let key = self.next_key(r);
+                    ctx.at(now + self.params.overhead, key, PEv::Step(r));
                 }
-            }
-            SchedOp::Compute { bytes } => {
-                let d = SimDuration::from_secs_f64(bytes as f64 / self.params.compute_bps as f64);
+                Recv::At(a) => {
+                    let key = self.next_key(r);
+                    ctx.at(a, key, PEv::Step(r));
+                }
+                Recv::Blocked => {}
+            },
+            SchedOp::Compute { .. } | SchedOp::Work { .. } => {
                 self.ranks[local].pc += 1;
                 let key = self.next_key(r);
-                ctx.at(now + d, key, PEv::Step(r));
-            }
-            SchedOp::Work { ps } => {
-                self.ranks[local].pc += 1;
-                let key = self.next_key(r);
-                ctx.at(now + SimDuration::from_ps(ps), key, PEv::Step(r));
+                ctx.at(now + self.params.local_time(op), key, PEv::Step(r));
             }
         }
     }
@@ -220,10 +201,7 @@ impl ParWorld {
             .map_or(PathCost::CROSSBAR, |p| p.cost(from, to));
         let arrival =
             SimTime(base.0 + extra1 + cost.extra_ps) + self.link.message_time(bytes, cost.hops);
-        self.mailboxes[local].entry(from).or_default().push_back(arrival);
-        if self.waiting_on[local] == Some(from) {
-            self.waiting_on[local] = None;
-            let wake = self.ranks[local].time.max(arrival);
+        if let Some(wake) = self.mail.deliver(local as u32, from, arrival) {
             let key = self.next_key(to);
             ctx.at(wake, key, PEv::Step(to));
         }
@@ -300,15 +278,13 @@ pub fn simulate_programs_sharded(
                     .map(|r| PRank {
                         ops: std::mem::take(&mut programs[r as usize]),
                         pc: 0,
-                        time: SimTime::ZERO,
                         finished: None,
                         seq: 0,
                         up_busy: 0,
                         down_busy: 0,
                     })
                     .collect(),
-                mailboxes: (0..count).map(|_| FastHashMap::default()).collect(),
-                waiting_on: vec![None; count],
+                mail: Mailboxes::new(count),
                 messages: 0,
                 payload_bytes: 0,
             }

@@ -10,16 +10,18 @@
 //! performs; `tests` in this module cross-check those schedules against
 //! traces recorded from the executable algorithms, so the simulator is
 //! guaranteed to time the algorithm that actually runs.
+//!
+//! Receives go through the per-pair mailboxes in `mailbox.rs`, which
+//! the sharded executor in [`crate::parsim`] shares.
 
 use crate::allgather::AllgatherAlgo;
 use crate::allreduce::AllreduceAlgo;
 use crate::barrier::BarrierAlgo;
 use crate::bcast::{chunk_range, BcastAlgo};
+use crate::mailbox::{Mailboxes, Recv};
 use polaris_simnet::engine::{run, Scheduler, World};
-use polaris_simnet::fasthash::FastHashMap;
 use polaris_simnet::network::Network;
 use polaris_simnet::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
 
 /// One step of a rank's schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +74,6 @@ pub fn schedule(coll: Collective, rank: u32, p: u32, bytes: u64) -> Vec<SchedOp>
         Collective::Barrier(BarrierAlgo::Tree) => {
             if p > 1 {
                 let mut mask = 1u32;
-                let mut sent = false;
                 while mask < p {
                     if rank & mask == 0 {
                         if (rank | mask) < p {
@@ -83,7 +84,6 @@ pub fn schedule(coll: Collective, rank: u32, p: u32, bytes: u64) -> Vec<SchedOp>
                             to: rank & !mask,
                             bytes: 0,
                         });
-                        sent = true;
                         break;
                     }
                     mask <<= 1;
@@ -96,7 +96,6 @@ pub fn schedule(coll: Collective, rank: u32, p: u32, bytes: u64) -> Vec<SchedOp>
                 } else {
                     mask = p.next_power_of_two() >> 1;
                 }
-                let _ = sent;
                 while mask > 0 {
                     let peer = rank | mask;
                     if peer < p && peer != rank {
@@ -250,25 +249,8 @@ pub fn schedule(coll: Collective, rank: u32, p: u32, bytes: u64) -> Vec<SchedOp>
         }
         Collective::Allreduce(AllreduceAlgo::ReduceBcast) => {
             // Binomial reduce to 0 then binomial bcast from 0.
-            if p > 1 {
-                let mut mask = 1u32;
-                while mask < p {
-                    if rank & mask == 0 {
-                        if (rank | mask) < p {
-                            ops.push(SchedOp::Recv { from: rank | mask });
-                            ops.push(SchedOp::Compute { bytes });
-                        }
-                    } else {
-                        ops.push(SchedOp::Send {
-                            to: rank & !mask,
-                            bytes,
-                        });
-                        break;
-                    }
-                    mask <<= 1;
-                }
-                ops.extend(schedule(Collective::Bcast(BcastAlgo::Binomial), rank, p, bytes));
-            }
+            ops = schedule(Collective::ReduceBinomial, rank, p, bytes);
+            ops.extend(schedule(Collective::Bcast(BcastAlgo::Binomial), rank, p, bytes));
         }
         Collective::Allgather(AllgatherAlgo::Ring) => {
             if p > 1 {
@@ -339,6 +321,21 @@ pub struct ExecParams {
     pub compute_bps: u64,
 }
 
+impl ExecParams {
+    /// Virtual time a local op takes: reduction arithmetic at
+    /// `compute_bps` for `Compute`, the fixed duration for `Work`, and
+    /// nothing for communication.
+    pub fn local_time(&self, op: SchedOp) -> SimDuration {
+        match op {
+            SchedOp::Compute { bytes } => {
+                SimDuration::from_secs_f64(bytes as f64 / self.compute_bps as f64)
+            }
+            SchedOp::Work { ps } => SimDuration::from_ps(ps),
+            SchedOp::Send { .. } | SchedOp::Recv { .. } => SimDuration::ZERO,
+        }
+    }
+}
+
 impl Default for ExecParams {
     fn default() -> Self {
         ExecParams {
@@ -351,7 +348,6 @@ impl Default for ExecParams {
 struct RankState {
     ops: Vec<SchedOp>,
     pc: usize,
-    time: SimTime,
     finished: Option<SimTime>,
 }
 
@@ -359,14 +355,7 @@ struct SimExec<'a> {
     net: &'a mut Network,
     params: ExecParams,
     ranks: Vec<RankState>,
-    /// Per-receiver mailboxes: `mailboxes[to]` maps sender -> FIFO of
-    /// message arrival times. Keying the hot map on a single u32 (the
-    /// sender) keeps the hash to one multiply; lookups only, never
-    /// iterated, so determinism is unaffected.
-    mailboxes: Vec<FastHashMap<u32, VecDeque<SimTime>>>,
-    /// `waiting_on[r]` is the sender rank `r` is blocked receiving from
-    /// (a rank blocks on at most one peer at a time).
-    waiting_on: Vec<Option<u32>>,
+    mail: Mailboxes,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -380,8 +369,6 @@ impl World for SimExec<'_> {
     fn handle(&mut self, sched: &mut Scheduler<Ev>, Ev::Step(r): Ev) {
         let now = sched.now();
         let rank = r as usize;
-        debug_assert!(self.ranks[rank].time <= now);
-        self.ranks[rank].time = now;
         let Some(op) = self.ranks[rank].ops.get(self.ranks[rank].pc).copied() else {
             self.ranks[rank].finished.get_or_insert(now);
             return;
@@ -389,53 +376,25 @@ impl World for SimExec<'_> {
         match op {
             SchedOp::Send { to, bytes } => {
                 let t = now + self.params.overhead;
-                let delivery = self.net.transfer(t, r, to, bytes);
-                self.mailboxes[to as usize]
-                    .entry(r)
-                    .or_default()
-                    .push_back(delivery.arrival);
+                let arrival = self.net.transfer(t, r, to, bytes).arrival;
+                let wake = self.mail.deliver(to, r, arrival);
                 self.ranks[rank].pc += 1;
                 sched.at(t, Ev::Step(r));
-                // Wake the receiver if it is already waiting on us.
-                if self.waiting_on[to as usize] == Some(r) {
-                    self.waiting_on[to as usize] = None;
-                    let wake = self.ranks[to as usize].time.max(delivery.arrival);
-                    sched.at(wake, Ev::Step(to));
+                if let Some(w) = wake {
+                    sched.at(w, Ev::Step(to));
                 }
             }
-            SchedOp::Recv { from } => {
-                let mailbox = self.mailboxes[rank].get_mut(&from);
-                let arrival = mailbox.and_then(|q| {
-                    if q.front().is_some_and(|&a| a <= now) {
-                        q.pop_front()
-                    } else {
-                        None
-                    }
-                });
-                match arrival {
-                    Some(_) => {
-                        self.ranks[rank].pc += 1;
-                        sched.at(now + self.params.overhead, Ev::Step(r));
-                    }
-                    None => {
-                        // Either nothing has been sent yet, or it arrives
-                        // in the future.
-                        if let Some(&a) = self.mailboxes[rank].get(&from).and_then(|q| q.front()) {
-                            sched.at(a.max(now), Ev::Step(r));
-                        } else {
-                            self.waiting_on[rank] = Some(from);
-                        }
-                    }
+            SchedOp::Recv { from } => match self.mail.recv(r, from, now) {
+                Recv::Ready => {
+                    self.ranks[rank].pc += 1;
+                    sched.at(now + self.params.overhead, Ev::Step(r));
                 }
-            }
-            SchedOp::Compute { bytes } => {
-                let d = SimDuration::from_secs_f64(bytes as f64 / self.params.compute_bps as f64);
+                Recv::At(a) => sched.at(a, Ev::Step(r)),
+                Recv::Blocked => {}
+            },
+            SchedOp::Compute { .. } | SchedOp::Work { .. } => {
                 self.ranks[rank].pc += 1;
-                sched.at(now + d, Ev::Step(r));
-            }
-            SchedOp::Work { ps } => {
-                self.ranks[rank].pc += 1;
-                sched.at(now + SimDuration::from_ps(ps), Ev::Step(r));
+                sched.at(now + self.params.local_time(op), Ev::Step(r));
             }
         }
     }
@@ -467,7 +426,6 @@ pub fn simulate_collective(
         .map(|r| RankState {
             ops: schedule(coll, r, p, bytes),
             pc: 0,
-            time: SimTime::ZERO,
             finished: None,
         })
         .collect();
@@ -475,8 +433,7 @@ pub fn simulate_collective(
         net,
         params,
         ranks,
-        mailboxes: (0..p).map(|_| FastHashMap::default()).collect(),
-        waiting_on: vec![None; p as usize],
+        mail: Mailboxes::new(p as usize),
     };
     // Live population peaks around one in-flight event per rank.
     let mut sched = Scheduler::with_capacity(p as usize);
@@ -694,19 +651,16 @@ mod tests {
 
     #[test]
     fn simulation_scales_to_thousands_of_ranks() {
+        // How fast this runs is perfbench's claim; here only the answer
+        // is checked: 4096 ranks, log2(4096) = 12 exchange rounds.
         let p = 4096;
-        let start = std::time::Instant::now();
         let r = simulate_collective(
             &mut net(p),
             Collective::Allreduce(AllreduceAlgo::RecursiveDoubling),
             1024,
             ExecParams::default(),
         );
+        assert_eq!(r.messages, 4096 * 12);
         assert!(r.completion > SimDuration::ZERO);
-        assert!(
-            start.elapsed() < std::time::Duration::from_secs(20),
-            "simulation too slow: {:?}",
-            start.elapsed()
-        );
     }
 }

@@ -4,7 +4,9 @@
 //! does not need: keys here are small integers (ranks, vertex ids) under
 //! our own control, and the multiply-xor scheme below (the same family
 //! as rustc's FxHash) is several times faster on the hot lookup paths
-//! (topology link index, per-pair mailboxes).
+//! (topology link index, the schedule executors' per-pair mailbox
+//! index: one `u64` key per `(receiver, sender)` pair with messages in
+//! flight).
 //!
 //! Determinism note: swapping the hasher never changes simulation
 //! results — these maps are only ever used for keyed lookups, not

@@ -139,17 +139,7 @@ impl WorkloadResult {
 fn max_compute_ps(programs: &[Vec<SchedOp>], params: &ExecParams) -> u64 {
     programs
         .iter()
-        .map(|ops| {
-            ops.iter()
-                .map(|op| match *op {
-                    SchedOp::Work { ps } => ps,
-                    SchedOp::Compute { bytes } => {
-                        SimDuration::from_secs_f64(bytes as f64 / params.compute_bps as f64).0
-                    }
-                    _ => 0,
-                })
-                .sum::<u64>()
-        })
+        .map(|ops| ops.iter().map(|&op| params.local_time(op).0).sum::<u64>())
         .max()
         .unwrap_or(0)
 }

@@ -13,7 +13,15 @@
 //! slip costs ~1M allocator-visible bytes in one growth sequence and an
 //! O(hosts^2) table is astronomically over the cap — while the intended
 //! O(1)/O(routers) representation stays in single digits.
+//!
+//! The same meter gates the schedule executors' receive path: an
+//! all-to-all must cost a bounded number of allocator calls per rank,
+//! not one per-pair queue per message pair.
 
+use polaris_collectives::parsim::simulate_collective_sharded;
+use polaris_collectives::simx::{simulate_collective, Collective, ExecParams};
+use polaris_simnet::link::Generation;
+use polaris_simnet::network::Network;
 use polaris_simnet::rng::SplitMix64;
 use polaris_simnet::topology::{Routing, Topology, TopologyKind};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -113,6 +121,29 @@ fn route_plan_hot_path_is_allocation_free() {
         std::hint::black_box(acc);
         assert_eq!(calls, 0, "route_plan allocated under {routing:?}");
     }
+}
+
+/// Both schedule executors keep per-pair mailboxes in one recycled
+/// slab, so a 256-rank pairwise all-to-all (65,280 messages over 65,280
+/// distinct pairs) costs a handful of allocator calls per rank:
+/// schedules, event queue and slab growth. One buffer per pair would be
+/// ~255 calls per rank.
+#[test]
+fn alltoall_executors_allocate_o1_per_rank() {
+    const P: u32 = 256;
+    const CAP: u64 = 32 * P as u64;
+    let link = Generation::InfiniBand4x.link_model();
+    let coll = Collective::AlltoallPairwise;
+    let mut net = Network::new(Topology::new(TopologyKind::Crossbar { hosts: P }), link);
+    let (serial, calls, _) =
+        metered(|| simulate_collective(&mut net, coll, 4096, ExecParams::default()));
+    assert_eq!(serial.messages, u64::from(P * (P - 1)));
+    assert!(calls <= CAP, "simx all-to-all made {calls} allocator calls for {P} ranks");
+    // One job runs the sharded engine on this thread, inside the meter.
+    let ((sharded, _), calls, _) =
+        metered(|| simulate_collective_sharded(P, coll, 4096, ExecParams::default(), link, 1));
+    assert_eq!(sharded.messages, serial.messages);
+    assert!(calls <= CAP, "parsim all-to-all made {calls} allocator calls for {P} ranks");
 }
 
 /// The meter is live: a zero-allocation verdict above means the hot
