@@ -35,7 +35,7 @@
 
 use crate::mailbox::{Mailboxes, Recv};
 use crate::simx::{schedule, Collective, ExecParams, SchedOp, SimResult};
-use polaris_simnet::link::LinkModel;
+use polaris_simnet::link::{LinkCosts, LinkModel};
 use polaris_simnet::shard::{Partition, ShardCtx, ShardRunStats, ShardSim, ShardWorld};
 use polaris_simnet::time::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -104,7 +104,8 @@ struct ParWorld {
     /// First rank owned by this shard.
     base: u32,
     params: ExecParams,
-    link: LinkModel,
+    /// The link model and the costs of the last message size seen.
+    costs: LinkCosts,
     /// Route costs; `None` is the 2-hop crossbar.
     path: Option<PathModel>,
     ranks: Vec<PRank>,
@@ -128,13 +129,6 @@ impl ParWorld {
         ((rank as u64) << 32) | st.seq
     }
 
-    /// Wire occupancy of one message (serialization of payload plus
-    /// headers) in picoseconds.
-    #[inline]
-    fn ser_ps(&self, bytes: u64) -> u64 {
-        self.link.serialize_payload(bytes).0
-    }
-
     fn step(&mut self, ctx: &mut ShardCtx<'_, PEv>, r: u32) {
         let now = ctx.now();
         let local = self.local(r);
@@ -145,7 +139,7 @@ impl ParWorld {
         match op {
             SchedOp::Send { to, bytes } => {
                 let t = (now + self.params.overhead).0;
-                let ser = self.ser_ps(bytes);
+                let ser = self.costs.get(bytes).ser.0;
                 let st = &mut self.ranks[local];
                 let start0 = t.max(st.up_busy);
                 st.up_busy = start0 + ser;
@@ -155,7 +149,7 @@ impl ParWorld {
                 // The head leaves the uplink at start0 and needs one hop
                 // to reach the destination downlink — never sooner than
                 // now + lookahead, which keeps the cross-shard contract.
-                let head = start0 + self.link.hop_latency;
+                let head = start0 + self.costs.model().hop_latency;
                 let akey = self.next_key(r);
                 ctx.send(
                     self.part.shard_of(to),
@@ -190,17 +184,16 @@ impl ParWorld {
         let now = ctx.now();
         let local = self.local(to);
         // Downlink queueing, charged in head-arrival order.
-        let ser = self.ser_ps(bytes);
+        let size = self.costs.get(bytes);
         let st = &mut self.ranks[local];
         let start1 = now.0.max(st.down_busy);
-        st.down_busy = start1 + ser;
+        st.down_busy = start1 + size.ser.0;
         let extra1 = start1 - now.0;
         let cost = self
             .path
             .as_ref()
             .map_or(PathCost::CROSSBAR, |p| p.cost(from, to));
-        let arrival =
-            SimTime(base.0 + extra1 + cost.extra_ps) + self.link.message_time(bytes, cost.hops);
+        let arrival = SimTime(base.0 + extra1 + cost.extra_ps) + size.message_time(cost.hops);
         if let Some(wake) = self.mail.deliver(local as u32, from, arrival) {
             let key = self.next_key(to);
             ctx.at(wake, key, PEv::Step(to));
@@ -272,7 +265,7 @@ pub fn simulate_programs_sharded(
                 part,
                 base,
                 params,
-                link,
+                costs: LinkCosts::new(link),
                 path: path.clone(),
                 ranks: ranks
                     .map(|r| PRank {

@@ -120,7 +120,7 @@ impl LinkModel {
     /// Time to serialize `wire_bytes` bytes (headers included by caller).
     #[inline]
     pub fn serialize(&self, wire_bytes: u64) -> SimDuration {
-        SimDuration::from_ps((wire_bytes as f64 * self.ps_per_byte()).round() as u64)
+        serialize_at(self.ps_per_byte(), wire_bytes)
     }
 
     /// Number of packets a payload of `bytes` occupies.
@@ -151,28 +151,7 @@ impl LinkModel {
     /// the total is `hops` serializations of one packet plus one
     /// serialization of the remaining packets.
     pub fn message_time(&self, bytes: u64, hops: u32) -> SimDuration {
-        let hops = hops.max(1) as u64;
-        let total_ser = self.serialize_payload(bytes);
-        let lat = SimDuration::from_ps(self.hop_latency).saturating_mul(hops);
-        if self.cut_through {
-            total_ser + lat
-        } else {
-            let npkts = self.packets_for(bytes);
-            let last_pkt_payload = if bytes == 0 {
-                0
-            } else {
-                bytes - (npkts - 1) * self.mtu as u64
-            };
-            // First (npkts-1) packets pipeline: pay their serialization once.
-            let lead = self.serialize(
-                (npkts - 1) * (self.mtu as u64 + self.header_bytes as u64),
-            );
-            // The last packet is re-serialized at every hop.
-            let tail = self
-                .serialize(last_pkt_payload + self.header_bytes as u64)
-                .saturating_mul(hops);
-            lead + tail + lat
-        }
+        SizeCost::new(self, self.ps_per_byte(), bytes).message_time(hops)
     }
 
     /// Effective bandwidth (payload bytes / message time) for a given size
@@ -189,6 +168,113 @@ impl LinkModel {
     /// canonical "latency" number.
     pub fn min_latency(&self, hops: u32) -> SimDuration {
         self.message_time(8, hops)
+    }
+}
+
+#[inline]
+fn serialize_at(ps_per_byte: f64, wire_bytes: u64) -> SimDuration {
+    SimDuration::from_ps((wire_bytes as f64 * ps_per_byte).round() as u64)
+}
+
+/// What a message of one payload size costs on one [`LinkModel`]: the
+/// quantities the contention models charge per message, each with the
+/// f64 expression and rounding [`LinkModel::serialize`] uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SizeCost {
+    /// Payload bytes these costs are for.
+    pub bytes: u64,
+    /// Bytes on the wire, per-packet headers included.
+    pub wire_bytes: u64,
+    /// Wire occupancy of the whole message
+    /// ([`LinkModel::serialize_payload`]).
+    pub ser: SimDuration,
+    /// Uncontended gap between the message head reaching successive
+    /// hops: the hop latency plus the head's forwarding time — the
+    /// header for cut-through, the first packet for store-and-forward,
+    /// which re-serializes it.
+    pub hop_head: SimDuration,
+    /// [`SizeCost::message_time`]'s hop-independent serialization.
+    lead: SimDuration,
+    /// Serialization paid again at every hop: the last packet under
+    /// store-and-forward, nothing under cut-through.
+    per_hop_ser: SimDuration,
+    hop_latency: SimDuration,
+}
+
+impl SizeCost {
+    fn new(m: &LinkModel, ps_per_byte: f64, bytes: u64) -> Self {
+        let ser = |wire_bytes| serialize_at(ps_per_byte, wire_bytes);
+        let header = m.header_bytes as u64;
+        let wire_bytes = m.wire_bytes(bytes);
+        let total_ser = ser(wire_bytes);
+        let hop_latency = SimDuration::from_ps(m.hop_latency);
+        let (lead, per_hop_ser, head_fwd) = if m.cut_through {
+            (total_ser, SimDuration::ZERO, ser(header))
+        } else {
+            let npkts = m.packets_for(bytes);
+            let last_pkt_payload = if bytes == 0 {
+                0
+            } else {
+                bytes - (npkts - 1) * m.mtu as u64
+            };
+            (
+                // First (npkts-1) packets pipeline: pay their serialization once.
+                ser((npkts - 1) * (m.mtu as u64 + header)),
+                // The last packet is re-serialized at every hop.
+                ser(last_pkt_payload + header),
+                ser(bytes.min(m.mtu as u64) + header),
+            )
+        };
+        SizeCost {
+            bytes,
+            wire_bytes,
+            ser: total_ser,
+            hop_head: hop_latency + head_fwd,
+            lead,
+            per_hop_ser,
+            hop_latency,
+        }
+    }
+
+    /// [`LinkModel::message_time`] for this size over `hops` links.
+    #[inline]
+    pub fn message_time(&self, hops: u32) -> SimDuration {
+        let hops = hops.max(1) as u64;
+        self.lead + self.per_hop_ser.saturating_mul(hops) + self.hop_latency.saturating_mul(hops)
+    }
+}
+
+/// A link model's [`SizeCost`]s behind a one-entry cache keyed on the
+/// payload size. A schedule's sends repeat one size, so the divisions
+/// behind the costs run when the size changes, not once per message.
+#[derive(Debug, Clone)]
+pub struct LinkCosts {
+    model: LinkModel,
+    ps_per_byte: f64,
+    last: SizeCost,
+}
+
+impl LinkCosts {
+    pub fn new(model: LinkModel) -> Self {
+        let ps_per_byte = model.ps_per_byte();
+        LinkCosts {
+            model,
+            ps_per_byte,
+            last: SizeCost::new(&model, ps_per_byte, 0),
+        }
+    }
+
+    pub fn model(&self) -> &LinkModel {
+        &self.model
+    }
+
+    /// The costs of a `bytes`-byte message.
+    #[inline]
+    pub fn get(&mut self, bytes: u64) -> SizeCost {
+        if self.last.bytes != bytes {
+            self.last = SizeCost::new(&self.model, self.ps_per_byte, bytes);
+        }
+        self.last
     }
 }
 
@@ -289,6 +375,61 @@ mod tests {
         // One hop of 10us dominates 8B serialization (~3.7us incl header).
         let lat = fe.min_latency(1);
         assert!(lat.as_us() > 10.0 && lat.as_us() < 20.0, "{lat}");
+    }
+
+    /// `message_time` as written before the per-size costs, kept as
+    /// the reference they must reproduce bit for bit.
+    fn reference_message_time(m: &LinkModel, bytes: u64, hops: u32) -> SimDuration {
+        let hops = hops.max(1) as u64;
+        let total_ser = m.serialize_payload(bytes);
+        let lat = SimDuration::from_ps(m.hop_latency).saturating_mul(hops);
+        if m.cut_through {
+            total_ser + lat
+        } else {
+            let npkts = m.packets_for(bytes);
+            let last = if bytes == 0 {
+                0
+            } else {
+                bytes - (npkts - 1) * m.mtu as u64
+            };
+            let lead = m.serialize((npkts - 1) * (m.mtu as u64 + m.header_bytes as u64));
+            let tail = m
+                .serialize(last + m.header_bytes as u64)
+                .saturating_mul(hops);
+            lead + tail + lat
+        }
+    }
+
+    #[test]
+    fn size_costs_match_the_link_model_bit_for_bit() {
+        for g in Generation::ALL {
+            for cut_through in [true, false] {
+                let m = LinkModel {
+                    cut_through,
+                    ..g.link_model()
+                };
+                let hdr = m.header_bytes as u64;
+                let mut costs = LinkCosts::new(m);
+                // Repeats and returns to earlier sizes exercise the cache.
+                for bytes in [0u64, 8, 8, 100, 1500, 1501, 4096, 65_537, 4 << 20, 8, 0] {
+                    let c = costs.get(bytes);
+                    assert_eq!(c.bytes, bytes);
+                    assert_eq!(c.ser, m.serialize_payload(bytes));
+                    assert_eq!(c.wire_bytes, m.wire_bytes(bytes));
+                    let fwd = if cut_through {
+                        m.serialize(hdr)
+                    } else {
+                        m.serialize(bytes.min(m.mtu as u64) + hdr)
+                    };
+                    assert_eq!(c.hop_head, SimDuration::from_ps(m.hop_latency) + fwd);
+                    for hops in 0..8 {
+                        let want = reference_message_time(&m, bytes, hops);
+                        assert_eq!(c.message_time(hops), want, "{g:?} {bytes} B {hops} hops");
+                        assert_eq!(m.message_time(bytes, hops), want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

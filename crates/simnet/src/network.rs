@@ -11,7 +11,7 @@
 //! yields deterministic, contention-aware delivery times.
 
 use crate::fault::{FaultEvent, FaultInjector, FaultPlan, FaultVerdict};
-use crate::link::{LinkId, LinkModel, LinkState};
+use crate::link::{LinkCosts, LinkId, LinkModel, LinkState};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use polaris_obs::{Counter, Obs, Subject};
@@ -56,7 +56,8 @@ struct NetObs {
 
 pub struct Network {
     topo: Topology,
-    model: LinkModel,
+    /// The link model and the costs of the last message size sent.
+    costs: LinkCosts,
     links: Vec<LinkState>,
     faults: Option<FaultInjector>,
     transfers: u64,
@@ -76,7 +77,7 @@ impl Network {
         let n = topo.link_count();
         Network {
             topo,
-            model,
+            costs: LinkCosts::new(model),
             links: vec![LinkState::default(); n],
             faults: None,
             transfers: 0,
@@ -155,7 +156,7 @@ impl Network {
     }
 
     pub fn model(&self) -> &LinkModel {
-        &self.model
+        self.costs.model()
     }
 
     /// Present a transfer of `bytes` payload from `src` to `dst` starting
@@ -184,7 +185,7 @@ impl Network {
         // route plan while link occupancy is charged against `links`.
         let Network {
             topo,
-            model,
+            costs,
             links,
             faults,
             dropped: dropped_total,
@@ -193,6 +194,7 @@ impl Network {
             route_scratch,
             ..
         } = self;
+        let cost = costs.get(bytes);
         let mut corrupted = false;
         if let Some(inj) = faults {
             // Link-scoped fault rules judge the route as a slice; only
@@ -215,7 +217,7 @@ impl Network {
                     // The sender learns of the loss only after a timeout;
                     // model that as the nominal delivery time
                     // (retransmission policy layers on top).
-                    let nominal = now + model.message_time(bytes, route_scratch.len() as u32);
+                    let nominal = now + cost.message_time(route_scratch.len() as u32);
                     return Delivery {
                         arrival: nominal,
                         dropped: true,
@@ -224,33 +226,22 @@ impl Network {
                 }
             }
         }
-        let ser = model.serialize_payload(bytes);
-        let wire_bytes = model.wire_bytes(bytes);
-        // Per-hop forwarding cost of the message head: for cut-through the
-        // head moves on after the header is through; store-and-forward
-        // re-serializes the first packet.
-        let fwd = if model.cut_through {
-            model.serialize(model.header_bytes as u64)
-        } else {
-            model.serialize(bytes.min(model.mtu as u64) + model.header_bytes as u64)
-        };
-        let hop_lat = SimDuration::from_ps(model.hop_latency);
         // Stream the route plan charging occupancy; `extra` accumulates
         // queueing delay beyond the uncontended schedule. No route vector
         // exists on this path — each hop's link id is computed on the fly.
         let mut extra = SimDuration::ZERO;
         let mut hops = 0u32;
         for (i, link) in topo.route_plan(src, dst).enumerate() {
-            let nominal_head = now + extra + (hop_lat + fwd).saturating_mul(i as u64);
+            let nominal_head = now + extra + cost.hop_head.saturating_mul(i as u64);
             let st = &mut links[link.0 as usize];
             let start = nominal_head.max(st.busy_until);
             extra += start.since(nominal_head);
-            st.busy_until = start + ser;
-            st.bytes_carried += wire_bytes;
-            st.busy_time += ser;
+            st.busy_until = start + cost.ser;
+            st.bytes_carried += cost.wire_bytes;
+            st.busy_time += cost.ser;
             hops += 1;
         }
-        let arrival = now + extra + model.message_time(bytes, hops);
+        let arrival = now + extra + cost.message_time(hops);
         if let Some(no) = &self.obs {
             no.delivered.inc();
             no.obs.instant(
@@ -276,7 +267,7 @@ impl Network {
         if src == dst {
             SimDuration::from_secs_f64(bytes as f64 / LOCAL_COPY_BPS as f64)
         } else {
-            self.model.message_time(bytes, self.topo.hops(src, dst))
+            self.model().message_time(bytes, self.topo.hops(src, dst))
         }
     }
 

@@ -10,15 +10,23 @@
 //! state** — link ids, link endpoints, and routes are all computed
 //! arithmetically from coordinates, so a 1M-host Dragonfly costs the same
 //! few bytes as a 4-host crossbar. Routes are produced by [`RoutePlan`],
-//! an iterator that derives each hop's [`LinkId`] on the fly; the
-//! contention model charges occupancy per yielded link without ever
-//! materializing a route vector.
+//! a closed form built once per `(src, dst)`: it reads the endpoints'
+//! coordinates when it is built (pod/edge/port on a fat tree; group,
+//! router and Valiant waypoint on a Dragonfly; per-dimension direction
+//! and step count on a ring or torus), so each hop's [`LinkId`] then
+//! costs only adds and compares — no division and no dispatch on the
+//! topology kind per hop. Switched fabrics list their at most eight
+//! link ids up front; direct networks keep one arithmetic run per
+//! dimension. The contention model charges occupancy per yielded link
+//! without ever materializing a route vector, and [`Topology::hops`]
+//! is its own closed form that builds no plan at all.
 //!
 //! Verification discipline: [`Topology::new_reference`] additionally
 //! builds the explicit link table the pre-refactor code used (insertion
 //! order via `add_bidi`, which defines the canonical link numbering for
 //! the legacy kinds), and [`Topology::route_reference`] walks routes
-//! through that table via the retained [`walk_route`] logic. The
+//! vertex by vertex through that table via the retained [`walk_route`]
+//! logic, which is independent of the plan's closed form. The
 //! differential oracle (`sentinel::oracle::route_oracle`, plus the
 //! property suites) checks `RoutePlan` against this reference: same
 //! links, same order, same hop count.
@@ -396,27 +404,67 @@ impl Topology {
     }
 
     /// The deterministic route from host `src` to host `dst` as an O(1)
-    /// on-the-fly iterator: no allocation, no per-pair storage. `src ==
-    /// dst` yields an empty plan (loopback never hits the wire).
-    pub fn route_plan(&self, src: u32, dst: u32) -> RoutePlan<'_> {
+    /// closed-form iterator: no allocation, no per-pair storage. All
+    /// divisions happen here, once; each hop is then adds and compares.
+    /// `src == dst` yields an empty plan (loopback never hits the wire).
+    #[inline]
+    pub fn route_plan(&self, src: u32, dst: u32) -> RoutePlan {
         assert!(src < self.hosts && dst < self.hosts, "rank out of range");
-        let via = match self.routing {
-            Routing::Minimal => NO_VIA,
-            Routing::Valiant { seed } => self.valiant_via(seed, src, dst),
-        };
-        RoutePlan {
-            topo: self,
-            cur: Vertex::Host(src),
-            dst,
-            via,
-            done: src == dst,
+        if src == dst {
+            return RoutePlan::listed(Listed::default());
+        }
+        match self.kind {
+            TopologyKind::Crossbar { .. } => {
+                let mut l = Listed::default();
+                l.push(2 * src);
+                l.push(2 * dst + 1);
+                RoutePlan::listed(l)
+            }
+            TopologyKind::Ring { hosts } => {
+                let link = |u: u32, v: u32| ring_link(hosts, u, v);
+                RoutePlan::runs([
+                    Run::new(hosts, src, dst, link),
+                    Run::default(),
+                    Run::default(),
+                ])
+            }
+            TopologyKind::Torus2D { w, h } => {
+                let (sx, sy) = (src % w, src / w);
+                let (dx, dy) = (dst % w, dst / w);
+                RoutePlan::runs([
+                    Run::new(w, sx, dx, |a, b| t2_link_x(w, h, a, sy, b)),
+                    Run::new(h, sy, dy, |a, b| t2_link_y(w, h, dx, a, b)),
+                    Run::default(),
+                ])
+            }
+            TopologyKind::Torus3D { x: wx, y: wy, z: wz } => {
+                let coord = |n: u32| (n % wx, (n / wx) % wy, n / (wx * wy));
+                let (si, sj, sk) = coord(src);
+                let (di, dj, dk) = coord(dst);
+                let link = |u, v| t3_link(wx, wy, wz, u, v);
+                RoutePlan::runs([
+                    Run::new(wx, si, di, |a, b| link((a, sj, sk), (b, sj, sk))),
+                    Run::new(wy, sj, dj, |a, b| link((di, a, sk), (di, b, sk))),
+                    Run::new(wz, sk, dk, |a, b| link((di, dj, a), (di, dj, b))),
+                ])
+            }
+            TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => {
+                let (k, _) = self.ft_dims();
+                RoutePlan::listed(ft_route(k / 2, src, dst))
+            }
+            TopologyKind::Dragonfly { .. } => {
+                RoutePlan::listed(self.df().route(src, dst, self.via(src, dst)))
+            }
         }
     }
 
     /// The Valiant intermediate group for `(src, dst)`, or `NO_VIA` when
-    /// the pair stays minimal (same group, tiny machine, or the drawn
-    /// group coincides with an endpoint group).
-    fn valiant_via(&self, seed: u64, src: u32, dst: u32) -> u32 {
+    /// the pair stays minimal (minimal routing, same group, tiny machine,
+    /// or the drawn group coincides with an endpoint group).
+    fn via(&self, src: u32, dst: u32) -> u32 {
+        let Routing::Valiant { seed } = self.routing else {
+            return NO_VIA;
+        };
         let TopologyKind::Dragonfly {
             groups: g,
             routers_per_group: a,
@@ -461,53 +509,48 @@ impl Topology {
         out.extend(self.route_plan(src, dst));
     }
 
-    /// Number of links on the route (0 for loopback).
+    /// Number of links on the route (0 for loopback), in closed form:
+    /// the same count [`Topology::route_plan`] yields, without building
+    /// or walking a plan.
     pub fn hops(&self, src: u32, dst: u32) -> u32 {
-        self.route_plan(src, dst).count() as u32
-    }
-
-    /// Next vertex after `cur` on the path to `dst`. Pure arithmetic in
-    /// the current vertex and destination; `via` carries the remaining
-    /// Valiant waypoint (cleared once the detour group is reached).
-    fn next_vertex(&self, cur: Vertex, dst: u32, via: &mut u32) -> Vertex {
+        assert!(src < self.hosts && dst < self.hosts, "rank out of range");
+        if src == dst {
+            return 0;
+        }
         match self.kind {
-            TopologyKind::Crossbar { .. } => match cur {
-                Vertex::Host(_) => Vertex::Switch(0),
-                Vertex::Switch(_) => Vertex::Host(dst),
-            },
-            TopologyKind::Ring { hosts } => {
-                let Vertex::Host(c) = cur else {
-                    unreachable!("ring has no switches")
-                };
-                Vertex::Host(step_toward(c, dst, hosts))
-            }
+            TopologyKind::Crossbar { .. } => 2,
+            TopologyKind::Ring { hosts } => ring_distance(src, dst, hosts),
             TopologyKind::Torus2D { w, h } => {
-                let Vertex::Host(c) = cur else {
-                    unreachable!("torus has no switches")
-                };
-                let (x, y) = (c % w, c / w);
-                let (dx, dy) = (dst % w, dst / w);
-                if x != dx {
-                    Vertex::Host(y * w + step_toward(x, dx, w))
-                } else {
-                    Vertex::Host((step_toward(y, dy, h)) * w + x)
-                }
+                ring_distance(src % w, dst % w, w) + ring_distance(src / w, dst / w, h)
             }
             TopologyKind::Torus3D { x: wx, y: wy, z: wz } => {
-                let Vertex::Host(c) = cur else {
-                    unreachable!("torus has no switches")
-                };
-                let (i, j, k) = (c % wx, (c / wx) % wy, c / (wx * wy));
-                let (di, dj, dk) = (dst % wx, (dst / wx) % wy, dst / (wx * wy));
-                let id3 = |a: u32, b: u32, c: u32| (c * wy + b) * wx + a;
-                if i != di {
-                    Vertex::Host(id3(step_toward(i, di, wx), j, k))
-                } else if j != dj {
-                    Vertex::Host(id3(i, step_toward(j, dj, wy), k))
+                let coord = |n: u32| (n % wx, (n / wx) % wy, n / (wx * wy));
+                let (si, sj, sk) = coord(src);
+                let (di, dj, dk) = coord(dst);
+                ring_distance(si, di, wx) + ring_distance(sj, dj, wy) + ring_distance(sk, dk, wz)
+            }
+            TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => {
+                let (k, _) = self.ft_dims();
+                let half = k / 2;
+                if src / half == dst / half {
+                    2 // same edge switch
+                } else if src / (half * half) == dst / (half * half) {
+                    4 // same pod: up to an aggregation switch and back
                 } else {
-                    Vertex::Host(id3(i, j, step_toward(k, dk, wz)))
+                    6 // through the core
                 }
             }
+            TopologyKind::Dragonfly { .. } => self.df().hops(src, dst, self.via(src, dst)),
+        }
+    }
+
+    /// Next vertex after switch-fabric vertex `cur` on the path to `dst`,
+    /// for the reference walk of the kinds [`Topology::walk_route`] does
+    /// not spell out. Pure arithmetic in the current vertex and
+    /// destination; `via` carries the remaining Valiant waypoint
+    /// (cleared once the detour group is reached).
+    fn next_vertex(&self, cur: Vertex, dst: u32, via: &mut u32) -> Vertex {
+        match self.kind {
             TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => {
                 let (k, pods) = self.ft_dims();
                 let half = k / 2;
@@ -575,87 +618,28 @@ impl Topology {
                     }
                 }
             }
+            _ => unreachable!("walk_route spells out the direct networks and the crossbar"),
         }
     }
 
-    /// Arithmetic link id of the directed edge `from -> to`. `from` and
-    /// `to` must be adjacent (as produced by [`Topology::next_vertex`]).
-    fn link_id(&self, from: Vertex, to: Vertex) -> LinkId {
-        let id = match self.kind {
-            TopologyKind::Crossbar { .. } => match (from, to) {
-                (Vertex::Host(x), Vertex::Switch(0)) => 2 * x,
-                (Vertex::Switch(0), Vertex::Host(x)) => 2 * x + 1,
-                _ => panic!("not adjacent: {from:?} -> {to:?}"),
-            },
-            TopologyKind::Ring { hosts } => {
-                let (Vertex::Host(u), Vertex::Host(v)) = (from, to) else {
-                    panic!("not adjacent: {from:?} -> {to:?}")
-                };
-                if hosts == 2 {
-                    // Single deduplicated cable pair: (0,1)=0, (1,0)=1.
-                    u
-                } else if v == (u + 1) % hosts {
-                    2 * u
-                } else {
-                    debug_assert_eq!(v, (u + hosts - 1) % hosts);
-                    2 * v + 1
-                }
-            }
-            TopologyKind::Torus2D { w, h } => {
-                let (Vertex::Host(u), Vertex::Host(v)) = (from, to) else {
-                    panic!("not adjacent: {from:?} -> {to:?}")
-                };
-                let (ux, uy) = (u % w, u / w);
-                let (vx, vy) = (v % w, v / w);
-                if uy == vy {
-                    // X move.
-                    t2_link_x(w, h, ux, uy, vx)
-                } else {
-                    debug_assert_eq!(ux, vx);
-                    t2_link_y(w, h, ux, uy, vy)
-                }
-            }
-            TopologyKind::Torus3D { x: wx, y: wy, z: wz } => {
-                let (Vertex::Host(u), Vertex::Host(v)) = (from, to) else {
-                    panic!("not adjacent: {from:?} -> {to:?}")
-                };
-                let (ui, uj, uk) = (u % wx, (u / wx) % wy, u / (wx * wy));
-                let (vi, vj, vk) = (v % wx, (v / wx) % wy, v / (wx * wy));
-                t3_link(wx, wy, wz, (ui, uj, uk), (vi, vj, vk))
-            }
-            TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => {
-                let (k, pods) = self.ft_dims();
-                self.ft_link_id(k, pods, from, to)
-            }
-            TopologyKind::Dragonfly {
-                groups: g,
-                routers_per_group: a,
-                ..
-            } => {
-                let n = self.hosts;
-                let l0 = 2 * n;
-                let g0 = l0 + g * a * (a - 1);
-                match (from, to) {
-                    (Vertex::Host(x), Vertex::Switch(_)) => 2 * x,
-                    (Vertex::Switch(_), Vertex::Host(x)) => 2 * x + 1,
-                    (Vertex::Switch(r1), Vertex::Switch(r2)) => {
-                        let (g1, i1) = (r1 / a, r1 % a);
-                        let (g2, i2) = (r2 / a, r2 % a);
-                        if g1 == g2 {
-                            let t = i2 - u32::from(i2 > i1);
-                            l0 + g1 * (a * (a - 1)) + i1 * (a - 1) + t
-                        } else {
-                            debug_assert_eq!(i1, df_owner(a, g1, g2));
-                            debug_assert_eq!(i2, df_owner(a, g2, g1));
-                            let t = g2 - u32::from(g2 > g1);
-                            g0 + g1 * (g - 1) + t
-                        }
-                    }
-                    _ => panic!("not adjacent: {from:?} -> {to:?}"),
-                }
-            }
+    /// The Dragonfly's link numbering and router-level routing.
+    fn df(&self) -> Df {
+        let TopologyKind::Dragonfly {
+            groups,
+            routers_per_group,
+            hosts_per_router,
+        } = self.kind
+        else {
+            unreachable!("not a Dragonfly")
         };
-        LinkId(id)
+        let local0 = 2 * self.hosts;
+        Df {
+            g: groups,
+            a: routers_per_group,
+            hpr: hosts_per_router,
+            local0,
+            global0: local0 + groups * routers_per_group * (routers_per_group - 1),
+        }
     }
 
     /// (k, pods) for the fat-tree family.
@@ -664,65 +648,6 @@ impl Topology {
             TopologyKind::FatTree { k } => (k, k),
             TopologyKind::FatTreePods { k, pods } => (k, pods),
             _ => unreachable!(),
-        }
-    }
-
-    fn ft_link_id(&self, k: u32, pods: u32, from: Vertex, to: Vertex) -> u32 {
-        let half = k / 2;
-        let pod_block = 6 * half * half;
-        let ft = FtIndex { k, pods };
-        let host_ids = |hst: u32, up: bool| {
-            let pod = hst / (half * half);
-            let e = (hst / half) % half;
-            let p = hst % half;
-            pod * pod_block + e * 4 * half + 2 * p + u32::from(!up)
-        };
-        let edge_agg = |pod: u32, e: u32, a: u32, up: bool| {
-            pod * pod_block + e * 4 * half + 2 * half + 2 * a + u32::from(!up)
-        };
-        let agg_core = |pod: u32, a: u32, up_idx: u32, up: bool| {
-            pod * pod_block + 4 * half * half + a * 2 * half + 2 * up_idx + u32::from(!up)
-        };
-        match (from, to) {
-            (Vertex::Host(x), Vertex::Switch(_)) => host_ids(x, true),
-            (Vertex::Switch(_), Vertex::Host(x)) => host_ids(x, false),
-            (Vertex::Switch(s1), Vertex::Switch(s2)) => {
-                let class = |s: u32| {
-                    if s < pods * half {
-                        0 // edge
-                    } else if s < 2 * pods * half {
-                        1 // agg
-                    } else {
-                        2 // core
-                    }
-                };
-                match (class(s1), class(s2)) {
-                    (0, 1) => {
-                        let (pod, e) = (s1 / half, s1 % half);
-                        let a = ft.agg_index(s2);
-                        edge_agg(pod, e, a, true)
-                    }
-                    (1, 0) => {
-                        let (pod, e) = (s2 / half, s2 % half);
-                        let a = ft.agg_index(s1);
-                        edge_agg(pod, e, a, false)
-                    }
-                    (1, 2) => {
-                        let pod = ft.agg_pod(s1);
-                        let a = ft.agg_index(s1);
-                        let c = s2 - 2 * pods * half;
-                        agg_core(pod, a, c - a * half, true)
-                    }
-                    (2, 1) => {
-                        let pod = ft.agg_pod(s2);
-                        let a = ft.agg_index(s2);
-                        let c = s1 - 2 * pods * half;
-                        agg_core(pod, a, c - a * half, false)
-                    }
-                    _ => panic!("not adjacent: {from:?} -> {to:?}"),
-                }
-            }
-            _ => panic!("not adjacent: {from:?} -> {to:?}"),
         }
     }
 
@@ -962,8 +887,9 @@ impl Topology {
 
     /// Visit each vertex of the deterministic `src -> dst` path after the
     /// source, in order — the retained pre-refactor routing logic for the
-    /// legacy kinds (the new kinds route through the same `next_vertex`
-    /// the plan uses; their reference check is the explicit link table).
+    /// legacy kinds; the multi-pod fat tree and the Dragonfly step
+    /// through `next_vertex`, a vertex-by-vertex walk independent of the
+    /// plan's closed form.
     fn walk_route(&self, src: u32, dst: u32, mut visit: impl FnMut(Vertex)) {
         match self.kind {
             TopologyKind::Crossbar { .. } => {
@@ -1046,10 +972,7 @@ impl Topology {
                 visit(Vertex::Host(dst));
             }
             TopologyKind::FatTreePods { .. } | TopologyKind::Dragonfly { .. } => {
-                let mut via = match self.routing {
-                    Routing::Minimal => NO_VIA,
-                    Routing::Valiant { seed } => self.valiant_via(seed, src, dst),
-                };
+                let mut via = self.via(src, dst);
                 let mut cur = Vertex::Host(src);
                 loop {
                     cur = self.next_vertex(cur, dst, &mut via);
@@ -1079,12 +1002,6 @@ impl FtIndex {
     }
     fn core(&self, c: u32) -> Vertex {
         Vertex::Switch(2 * self.pods * (self.k / 2) + c)
-    }
-    fn agg_pod(&self, s: u32) -> u32 {
-        (s - self.pods * (self.k / 2)) / (self.k / 2)
-    }
-    fn agg_index(&self, s: u32) -> u32 {
-        (s - self.pods * (self.k / 2)) % (self.k / 2)
     }
 }
 
@@ -1204,40 +1121,289 @@ fn invert_monotone(hosts: u64, target: u64, f: impl Fn(u64) -> u64) -> u64 {
     lo
 }
 
-/// An O(1)-state route iterator: yields the [`LinkId`] of each hop from
-/// `src` to `dst`, computing both the next vertex and its link id
-/// arithmetically from coordinates. No allocation, no per-pair storage.
-#[derive(Clone)]
-pub struct RoutePlan<'a> {
-    topo: &'a Topology,
-    cur: Vertex,
-    dst: u32,
-    /// Remaining Valiant waypoint group, or `NO_VIA`.
-    via: u32,
-    done: bool,
+/// Most links a listed plan holds: a Valiant Dragonfly route has at
+/// most seven (up, local, global, local, global, local, down), a
+/// fat-tree route six.
+const MAX_LISTED: usize = 8;
+
+/// A switched-fabric route with every link id worked out when the plan
+/// is built.
+#[derive(Debug, Clone, Copy, Default)]
+struct Listed {
+    links: [u32; MAX_LISTED],
+    len: u8,
+    next: u8,
 }
 
-impl RoutePlan<'_> {
-    /// The vertex the plan currently stands on.
-    pub fn position(&self) -> Vertex {
-        self.cur
+impl Listed {
+    #[inline]
+    fn push(&mut self, id: u32) {
+        self.links[self.len as usize] = id;
+        self.len += 1;
     }
 }
 
-impl Iterator for RoutePlan<'_> {
+/// One dimension of a ring or torus route: `left` steps in one direction
+/// around a ring, the other coordinates fixed. Along such a walk the link
+/// id is affine in the moving coordinate, so each step adds `delta`; the
+/// one exception is the wraparound cable, after which the walk goes on
+/// from `restart`. A shortest-direction walk is shorter than its ring,
+/// so it wraps at most once.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    /// Steps still to take.
+    left: u32,
+    /// Link id of the next step.
+    id: u32,
+    /// Added (wrapping) to `id` after each step.
+    delta: u32,
+    /// Steps until the walk has crossed the wraparound cable (wrapping:
+    /// a walk that starts on that cable never counts down to it again).
+    until_wrap: u32,
+    /// Link id of the first step after the wraparound.
+    restart: u32,
+}
+
+impl Run {
+    /// The walk from coordinate `c` to `d` around a ring of width `w`,
+    /// the shorter way (forward on ties, as `step_toward` goes).
+    /// `link(a, b)` is the id of the link from coordinate `a` to the
+    /// adjacent `b`, the other coordinates held at the run's values.
+    fn new(w: u32, c: u32, d: u32, link: impl Fn(u32, u32) -> u32) -> Run {
+        let fwd = (d + w - c) % w;
+        let bwd = w - fwd;
+        if fwd == 0 {
+            Run::default()
+        } else if fwd <= bwd {
+            // Steps leave c, c+1, ..., w-1, then 0, 1, ...
+            let delta = if fwd > 1 {
+                link(1, 2).wrapping_sub(link(0, 1))
+            } else {
+                0
+            };
+            Run {
+                left: fwd,
+                id: link(c, (c + 1) % w),
+                delta,
+                until_wrap: w - c,
+                restart: link(0, 1),
+            }
+        } else {
+            // Steps leave c, c-1, ..., 1, then 0 (onto w-1), w-1, ...
+            let delta = if bwd > 1 {
+                link(1, 0).wrapping_sub(link(2, 1))
+            } else {
+                0
+            };
+            Run {
+                left: bwd,
+                id: link(c, (c + w - 1) % w),
+                delta,
+                until_wrap: c,
+                restart: link(0, w - 1),
+            }
+        }
+    }
+}
+
+/// Where a plan's links come from.
+#[derive(Debug, Clone, Copy)]
+enum Hops {
+    /// Crossbar, fat trees and Dragonflies: the whole route, listed.
+    Listed(Listed),
+    /// Rings and tori: the non-empty runs of dimension order, in order.
+    Runs { runs: [Run; 3], dim: u8, dims: u8 },
+}
+
+/// An O(1)-state route iterator: yields the [`LinkId`] of each hop from
+/// `src` to `dst`. Every division happens in [`Topology::route_plan`];
+/// each step is then an array read (switched fabrics) or an add and a
+/// compare (rings and tori). No allocation, no per-pair storage.
+#[derive(Debug, Clone)]
+pub struct RoutePlan {
+    hops: Hops,
+}
+
+impl RoutePlan {
+    fn listed(links: Listed) -> Self {
+        RoutePlan {
+            hops: Hops::Listed(links),
+        }
+    }
+
+    fn runs(all: [Run; 3]) -> Self {
+        let mut runs = [Run::default(); 3];
+        let mut dims = 0;
+        for r in all.into_iter().filter(|r| r.left > 0) {
+            runs[dims] = r;
+            dims += 1;
+        }
+        RoutePlan {
+            hops: Hops::Runs {
+                runs,
+                dim: 0,
+                dims: dims as u8,
+            },
+        }
+    }
+}
+
+impl Iterator for RoutePlan {
     type Item = LinkId;
 
+    #[inline]
     fn next(&mut self) -> Option<LinkId> {
-        if self.done {
-            return None;
+        match &mut self.hops {
+            Hops::Listed(l) => {
+                if l.next == l.len {
+                    return None;
+                }
+                let id = l.links[l.next as usize];
+                l.next += 1;
+                Some(LinkId(id))
+            }
+            Hops::Runs { runs, dim, dims } => {
+                if *dim == *dims {
+                    return None;
+                }
+                let r = &mut runs[*dim as usize];
+                let id = r.id;
+                r.left -= 1;
+                if r.left == 0 {
+                    *dim += 1;
+                } else {
+                    r.until_wrap = r.until_wrap.wrapping_sub(1);
+                    r.id = if r.until_wrap == 0 {
+                        r.restart
+                    } else {
+                        r.id.wrapping_add(r.delta)
+                    };
+                }
+                Some(LinkId(id))
+            }
         }
-        let next = self.topo.next_vertex(self.cur, self.dst, &mut self.via);
-        let id = self.topo.link_id(self.cur, next);
-        if next == Vertex::Host(self.dst) {
-            self.done = true;
+    }
+}
+
+/// Link id of the ring step `u -> v` between adjacent hosts: cable pair
+/// `i` joins hosts `i` and `i + 1`, forward direction first; a 2-host
+/// ring has the single pair (0,1)=0, (1,0)=1.
+fn ring_link(hosts: u32, u: u32, v: u32) -> u32 {
+    if hosts == 2 {
+        u
+    } else if v == (u + 1) % hosts {
+        2 * u
+    } else {
+        2 * v + 1
+    }
+}
+
+/// Hops from coordinate `c` to `d` around a ring of width `w`, the
+/// shorter way.
+fn ring_distance(c: u32, d: u32, w: u32) -> u32 {
+    let fwd = (d + w - c) % w;
+    fwd.min(w - fwd)
+}
+
+/// The fat-tree route between distinct hosts `src` and `dst`, `half =
+/// k/2` hosts per edge switch, in [`Topology::link_endpoints`]'
+/// numbering: each pod owns `6 half^2` ids — per edge switch its host
+/// cables then its aggregation cables (`4 half` ids), then per
+/// aggregation switch its core cables (`2 half` ids) — up before down
+/// within every cable pair. Upward spreading is D-mod-k: aggregation
+/// switch `dst % half`, then core port `(dst / half) % half`.
+#[inline]
+fn ft_route(half: u32, src: u32, dst: u32) -> Listed {
+    let pod_block = 6 * half * half;
+    // (pod, edge switch, port) from two independent divisions per host.
+    let coord = |h: u32| {
+        let (edge, pod) = (h / half, h / (half * half));
+        (pod, edge - pod * half, h - edge * half)
+    };
+    let (sp, se, sx) = coord(src);
+    let (dp, de, dx) = coord(dst);
+    // First id of an edge switch's block, and of an aggregation
+    // switch's core cables.
+    let edge = |pod: u32, e: u32| pod * pod_block + e * 4 * half;
+    let agg = |pod: u32, a: u32| pod * pod_block + 4 * half * half + a * 2 * half;
+    let a = dx;
+    let mut l = Listed::default();
+    l.push(edge(sp, se) + 2 * sx);
+    if (sp, se) != (dp, de) {
+        l.push(edge(sp, se) + 2 * half + 2 * a);
+        if sp != dp {
+            l.push(agg(sp, a) + 2 * de);
+            l.push(agg(dp, a) + 2 * de + 1);
         }
-        self.cur = next;
-        Some(id)
+        l.push(edge(dp, de) + 2 * half + 2 * a + 1);
+    }
+    l.push(edge(dp, de) + 2 * dx + 1);
+    l
+}
+
+/// Dragonfly link numbering and routing: `g` groups of `a` routers with
+/// `hpr` hosts each. Ids below `local0 = 2 * hosts` are host cables (up,
+/// then down, per host); then each group's `a(a-1)` local links; then,
+/// from `global0`, the `g(g-1)` global links.
+struct Df {
+    g: u32,
+    a: u32,
+    hpr: u32,
+    local0: u32,
+    global0: u32,
+}
+
+impl Df {
+    fn local(&self, gr: u32, i: u32, j: u32) -> u32 {
+        self.local0 + gr * (self.a * (self.a - 1)) + i * (self.a - 1) + j - u32::from(j > i)
+    }
+
+    fn global(&self, from: u32, to: u32) -> u32 {
+        self.global0 + from * (self.g - 1) + to - u32::from(to > from)
+    }
+
+    /// Visit the router-to-router links on the way from host `src` to
+    /// host `dst`, through Valiant group `via` first unless it is
+    /// `NO_VIA`: to each target group, a local hop to the router owning
+    /// that group's global link (if not already there) and the global
+    /// link; then a local hop to `dst`'s router if the arriving router is
+    /// not it.
+    fn between_routers(&self, src: u32, dst: u32, via: u32, mut hop: impl FnMut(u32)) {
+        let a = self.a;
+        let (sr, dr) = (src / self.hpr, dst / self.hpr);
+        let (mut gr, mut i) = (sr / a, sr % a);
+        let (dg, di) = (dr / a, dr % a);
+        for tg in [via, dg] {
+            if tg == NO_VIA || tg == gr {
+                continue;
+            }
+            let exit = df_owner(a, gr, tg);
+            if i != exit {
+                hop(self.local(gr, i, exit));
+            }
+            hop(self.global(gr, tg));
+            i = df_owner(a, tg, gr);
+            gr = tg;
+        }
+        if i != di {
+            hop(self.local(gr, i, di));
+        }
+    }
+
+    /// The route between distinct hosts `src` and `dst`.
+    fn route(&self, src: u32, dst: u32, via: u32) -> Listed {
+        let mut l = Listed::default();
+        l.push(2 * src);
+        self.between_routers(src, dst, via, |id| l.push(id));
+        l.push(2 * dst + 1);
+        l
+    }
+
+    /// The length of [`Df::route`].
+    fn hops(&self, src: u32, dst: u32, via: u32) -> u32 {
+        let mut hops = 2; // host to router, router to host
+        self.between_routers(src, dst, via, |_| hops += 1);
+        hops
     }
 }
 
@@ -1268,6 +1434,13 @@ mod tests {
             TopologyKind::Torus2D { w: 2, h: 5 },
             TopologyKind::Torus3D { x: 2, y: 3, z: 2 },
             TopologyKind::Torus3D { x: 3, y: 2, z: 4 },
+            TopologyKind::Torus2D { w: 6, h: 5 },
+            TopologyKind::Torus2D { w: 5, h: 2 },
+            TopologyKind::Torus3D { x: 5, y: 4, z: 2 },
+            TopologyKind::Torus3D { x: 2, y: 2, z: 5 },
+            TopologyKind::Ring { hosts: 9 },
+            TopologyKind::Ring { hosts: 3 },
+            TopologyKind::FatTree { k: 6 },
             TopologyKind::FatTree { k: 4 },
             TopologyKind::FatTreePods { k: 4, pods: 3 },
             TopologyKind::FatTreePods { k: 6, pods: 2 },
@@ -1351,30 +1524,32 @@ mod tests {
         }
     }
 
-    /// The arithmetic link numbering (route_plan + link_id) must agree
-    /// with the retained insertion-order reference (walk_route + table)
-    /// on every legacy kind — same links, same order.
+    /// The closed-form route plans must agree with the retained
+    /// insertion-order reference (walk_route + table) on every kind —
+    /// same links, same order — and `hops` with the plans' lengths.
     #[test]
     fn plan_matches_reference_on_legacy_kinds() {
-        for kind in all_kinds() {
-            let t = Topology::new_reference(kind);
+        for t in all_topologies() {
+            let t = Topology::new_reference(t.kind()).with_routing(t.routing());
             for s in 0..t.hosts() {
                 for d in 0..t.hosts() {
+                    let route = t.route(s, d);
+                    assert_eq!(route, t.route_reference(s, d), "{:?}: ({s},{d})", t.kind());
                     assert_eq!(
-                        t.route(s, d),
-                        t.route_reference(s, d),
-                        "{kind:?}: ({s},{d})"
+                        t.hops(s, d) as usize,
+                        route.len(),
+                        "{:?}: ({s},{d})",
+                        t.kind()
                     );
                 }
             }
         }
     }
 
-    /// The closed-form link numbering must invert exactly: endpoints of
-    /// id `i` re-encode to id `i`, and the reference table (built by an
-    /// independent construction loop) agrees entry by entry.
+    /// The closed-form link numbering must match the reference table
+    /// (built by an independent construction loop) entry by entry.
     #[test]
-    fn link_numbering_inverts_and_matches_reference_table() {
+    fn link_endpoints_match_reference_table() {
         for kind in all_kinds() {
             let t = Topology::new_reference(kind);
             assert_eq!(
@@ -1384,11 +1559,6 @@ mod tests {
             );
             for i in 0..t.link_count() {
                 let (from, to) = t.link_endpoints(LinkId(i as u32));
-                assert_eq!(
-                    t.link_id(from, to),
-                    LinkId(i as u32),
-                    "{kind:?}: endpoints({i}) do not re-encode"
-                );
                 assert_eq!(
                     t.reference_links()[i],
                     (from, to),
@@ -1587,9 +1757,15 @@ mod tests {
             total += h as u64;
         }
         assert!(total > 0);
-        // Endpoint inversion works at scale too.
+        // Endpoint inversion works at scale too: the last global link is
+        // the middle hop between the first hosts of its two routers.
         let last = LinkId(t.link_count() as u32 - 1);
-        let (from, to) = t.link_endpoints(last);
-        assert_eq!(t.link_id(from, to), last);
+        let (Vertex::Switch(r1), Vertex::Switch(r2)) = t.link_endpoints(last) else {
+            panic!("the last link is a global link")
+        };
+        assert_eq!(
+            t.route(r1 * 16, r2 * 16),
+            [LinkId(2 * r1 * 16), last, LinkId(2 * r2 * 16 + 1)]
+        );
     }
 }

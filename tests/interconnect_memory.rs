@@ -1,8 +1,9 @@
 //! Memory regression gate for the O(1) interconnect refactor: building
 //! a 1,048,576-host Dragonfly [`Topology`] must allocate O(routers)
 //! state, never any per-host (let alone per-host-pair) table, and
-//! deriving routes through [`Topology::route_plan`] must not allocate
-//! at all.
+//! deriving routes through [`Topology::route_plan`] or counting their
+//! links with [`Topology::hops`] must not allocate at all, on that
+//! Dragonfly or on a fat tree.
 //!
 //! The test binary installs a metering global allocator that counts
 //! allocator calls and bytes *per thread*, and each test meters only
@@ -96,12 +97,19 @@ fn million_host_dragonfly_builds_in_o_routers_memory() {
 }
 
 /// The routing hot path materializes nothing: deriving and walking a
-/// `RoutePlan` for sampled pairs across the 1M-host machine performs
-/// zero allocator calls under both minimal and Valiant routing.
+/// `RoutePlan`, and the closed-form `hops`, for sampled pairs perform
+/// zero allocator calls — on the 1M-host Dragonfly under minimal and
+/// Valiant routing, on the k=16 fat tree the F3 sweep routes over, and
+/// on a multi-pod fat tree.
 #[test]
 fn route_plan_hot_path_is_allocation_free() {
-    for routing in [Routing::Minimal, Routing::Valiant { seed: 0xF00D }] {
-        let topo = Topology::new(MILLION_HOST_FLY).with_routing(routing);
+    let fabrics = [
+        Topology::new(MILLION_HOST_FLY),
+        Topology::new(MILLION_HOST_FLY).with_routing(Routing::Valiant { seed: 0xF00D }),
+        Topology::new(TopologyKind::FatTree { k: 16 }),
+        Topology::new(TopologyKind::FatTreePods { k: 16, pods: 5 }),
+    ];
+    for topo in &fabrics {
         let hosts = topo.hosts() as u64;
         let mut rng = SplitMix64::new(0x0A11_0C8E);
         // Warm up once so lazy process-wide state cannot masquerade as
@@ -115,11 +123,18 @@ fn route_plan_hot_path_is_allocation_free() {
                 for link in topo.route_plan(s, d) {
                     acc = acc.wrapping_add(link.0 as u64);
                 }
+                acc = acc.wrapping_add(topo.hops(s, d) as u64);
             }
             acc
         });
         std::hint::black_box(acc);
-        assert_eq!(calls, 0, "route_plan allocated under {routing:?}");
+        assert_eq!(
+            calls,
+            0,
+            "routing allocated on {:?} under {:?}",
+            topo.kind(),
+            topo.routing()
+        );
     }
 }
 
